@@ -50,7 +50,7 @@ from repro.ctl.ast import (
 )
 from repro.ctl.parser import parse_ctl
 from repro.lc.faircycle import FairGraph, all_fair_states
-from repro.network.quantify import Conjunct, multiply_and_quantify
+from repro.network.quantify import ComponentProjector
 from repro.perf import EngineStats
 
 
@@ -90,6 +90,7 @@ class ModelChecker:
         self._reached = reached
         self._fair: Optional[int] = None
         self._cache: Dict[Formula, int] = {}
+        self._projector: Optional[ComponentProjector] = None
         # Long-lived nodes become GC roots (auto-GC safe points may run
         # inside the fixpoint loops below).
         self.bdd.register_root("mc.space", self.space)
@@ -204,31 +205,34 @@ class ModelChecker:
         conjuncts: the result holds in state ``x`` iff *some* resolution
         of the combinational (possibly non-deterministic) logic makes the
         atom true — the "may" semantics; its negation is the "must not"
-        set.  For deterministic logic the two coincide.
+        set.  For deterministic logic the two coincide.  The y-free
+        conjunct pool is split into components on first use, and each
+        component's projection is cached across atoms (see
+        :class:`ComponentProjector`).
         """
         bdd = self.bdd
         var = self.fsm.var(f.var)
         x_bits = set(self.fsm.x_bits())
         if set(var.bits) <= x_bits:
             return bdd.and_(var.literal(f.values), self.space)
-        literal = var.literal(f.values)
-        y_bits = set(self.fsm.y_bits())
-        pool = [
-            c
-            for c in self.fsm.conjuncts
-            if not (set(c.support) & y_bits)
-        ]
-        pool.append(
-            Conjunct(
-                node=literal, support=frozenset(bdd.support(literal)), label="atom"
+        if self._projector is None:
+            y_bits = set(self.fsm.y_bits())
+            pool = [
+                c for c in self.fsm.conjuncts if not (set(c.support) & y_bits)
+            ]
+            self._projector = ComponentProjector(bdd, pool, x_bits, "mc.atom")
+        projection = self._projector.project(var.literal(f.values))
+        self.stats.bump("atom_projections")
+        self.stats.bump("atom_components_reused", projection.reused)
+        if self.stats.tracer.enabled:
+            self.stats.tracer.instant(
+                "mc.atom", cat="mc",
+                var=f.var,
+                touched=projection.touched,
+                reused=projection.reused,
+                components=len(self._projector.components),
             )
-        )
-        quantify = set()
-        for c in pool:
-            quantify |= set(c.support)
-        quantify -= x_bits
-        result = multiply_and_quantify(bdd, pool, quantify, method="greedy")
-        return bdd.and_(result.node, self.space)
+        return bdd.and_(projection.node, self.space)
 
     # -- fair fixpoint operators -----------------------------------------
 

@@ -28,13 +28,23 @@ frontier every iteration (partitioned reachability), the schedule can be
 computed once from the supports alone (:func:`plan_schedule`) and then
 replayed cheaply against fresh BDDs (:func:`execute_schedule`) — the
 greedy cost function only ever looks at supports, so planning needs no
-BDD operations at all.
+BDD operations at all.  Executor and planner share one heap-indexed
+elimination loop (:func:`_eliminate`) that re-keys only the variables a
+merge can affect.
+
+:class:`ComponentProjector` projects many operands through one fixed
+pool (the may-projection of CTL wire atoms), caching the projection of
+every independent component of the pool.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.bdd.manager import BDD
 
@@ -222,77 +232,42 @@ def _linear(bdd: BDD, pool: List[Conjunct], quantify: Set[int]) -> QuantifyResul
 
 
 def _greedy(bdd: BDD, pool: List[Conjunct], quantify: Set[int]) -> QuantifyResult:
-    """Bucket elimination with an incremental var -> cluster index.
+    """Bucket elimination driven by :func:`_eliminate`.
 
-    ``by_var`` maps each variable to the ids of the live conjuncts whose
-    support mentions it; it is updated on every merge, so picking the
-    cheapest variable inspects only the clusters that actually contain
-    it instead of rescanning the whole pool per pending variable
-    (previously O(|pending|² · |pool| · |support|) across a run).
-    Conjunct ids increase monotonically and ``table`` preserves
-    insertion order, which reproduces the original pool-order semantics
-    exactly (rest in input order, merged cluster appended).
+    Live conjuncts are keyed by monotonically increasing ids (inputs
+    first, each merge appended), which reproduces the original
+    pool-order semantics exactly: the cluster is multiplied smallest
+    support first (ties in id order) and the leftover tail likewise.
     """
     result = QuantifyResult(node=bdd.true, peak_size=1)
     table: Dict[int, Conjunct] = dict(enumerate(pool))
-    next_id = len(pool)
-    by_var: Dict[int, Set[int]] = {}
-    for cid, c in table.items():
-        for v in c.support:
-            by_var.setdefault(v, set()).add(cid)
-    pending = {v for v in quantify if by_var.get(v)}
-    while pending:
-        # Cheapest variable: smallest combined support of the cluster
-        # that mentions it (ties broken by cluster size then var index).
-        def cost(var: int) -> Tuple[int, int, int]:
-            union: Set[int] = set()
-            for cid in by_var[var]:
-                union |= table[cid].support
-            return (len(union), len(by_var[var]), var)
+    supports = {cid: c.support for cid, c in table.items()}
 
-        var = min(pending, key=cost)
-        cluster_ids = sorted(by_var[var])
-        cluster_id_set = set(cluster_ids)
-        cluster = [table[cid] for cid in cluster_ids]
-        # Quantify var plus any pending variable entirely local to the cluster.
-        local = {
-            v for v in pending
-            if by_var.get(v) and by_var[v] <= cluster_id_set
-        }
-        cluster.sort(key=lambda c: len(c.support))
+    def merge(
+        cluster_ids: List[int], local: Tuple[int, ...], new_id: int
+    ) -> FrozenSet[int]:
+        cluster = sorted(
+            (table.pop(cid) for cid in cluster_ids), key=lambda c: len(c.support)
+        )
         if len(cluster) > 1:
             [product] = _reduce_and(
                 bdd, result, [[c.node for c in cluster[:-1]]]
             )
-            product = bdd.and_exists(product, cluster[-1].node, sorted(local))
+            product = bdd.and_exists(product, cluster[-1].node, local)
         else:
-            product = bdd.exist(sorted(local), cluster[0].node)
+            product = bdd.exist(local, cluster[0].node)
         size = bdd.size(product)
         result.peak_size = max(result.peak_size, size)
-        _record_step(
-            bdd, result,
-            tuple(c.label for c in cluster), tuple(sorted(local)), size,
-        )
-        merged = Conjunct(
+        _record_step(bdd, result, tuple(c.label for c in cluster), local, size)
+        merged = table[new_id] = Conjunct(
             node=product,
             support=frozenset(bdd.support(product)),
             label="(" + "*".join(c.label for c in cluster) + ")",
         )
-        # Incremental index update: retire the cluster, append the merge.
-        for cid in cluster_ids:
-            for v in table[cid].support:
-                ids = by_var[v]
-                ids.discard(cid)
-                if not ids:
-                    del by_var[v]
-            del table[cid]
-        table[next_id] = merged
-        for v in merged.support:
-            by_var.setdefault(v, set()).add(next_id)
-        next_id += 1
-        pending -= local
-        pending = {v for v in pending if by_var.get(v)}
         _safe_point(bdd, table.values())
+        return merged.support
+
+    _eliminate(supports, _index(supports), quantify, len(pool), merge)
     # Conjoin whatever is left (no quantifiable variables remain).
     live = sorted(table.values(), key=lambda c: len(c.support))
     [product] = _reduce_and(bdd, result, [[c.node for c in live]])
@@ -304,6 +279,187 @@ def _greedy(bdd: BDD, pool: List[Conjunct], quantify: Set[int]) -> QuantifyResul
         )
     result.node = product
     return result
+
+
+def _index(supports: Dict[int, FrozenSet[int]]) -> Dict[int, Set[int]]:
+    """Inverted index: variable -> ids of the supports mentioning it."""
+    by_var: Dict[int, Set[int]] = {}
+    for cid, support in supports.items():
+        for v in support:
+            by_var.setdefault(v, set()).add(cid)
+    return by_var
+
+
+def _eliminate(
+    supports: Dict[int, FrozenSet[int]],
+    by_var: Dict[int, Set[int]],
+    candidates: Iterable[int],
+    next_id: int,
+    merge: Callable[[List[int], Tuple[int, ...], int], FrozenSet[int]],
+) -> int:
+    """The greedy elimination loop shared by executor and planner.
+
+    Repeatedly picks the pending variable with the smallest key
+    ``(len(combined support), len(cluster), var)`` — the combined
+    support being the union of the supports of the clusters that
+    mention it — and hands its cluster (ids in ascending order) and the
+    sorted pending variables local to that cluster to ``merge``, which
+    does the caller's work and returns the merged support stored under
+    ``new_id``.  ``supports`` and ``by_var`` are updated in place; the
+    next free id is returned.  Pending variables are the ``candidates``
+    some live support mentions.
+
+    Keys live in a lazy min-heap.  A merge can only change the key of a
+    variable in the retired clusters' supports (the merged support is a
+    subset of their union), so only those pending variables are
+    re-keyed — and only they can become local or vanish from every
+    support.  The key is a total order, so every pick equals the pick of
+    a full ``min`` rescan over all pending variables.
+    """
+
+    def key(var: int) -> Tuple[int, int, int]:
+        ids = by_var[var]
+        union = frozenset().union(*(supports[i] for i in ids))
+        return (len(union), len(ids), var)
+
+    pending = {v for v in candidates if v in by_var}
+    keys = {v: key(v) for v in pending}
+    heap = list(keys.values())
+    heapq.heapify(heap)
+    while pending:
+        entry = heapq.heappop(heap)
+        var = entry[2]
+        if var not in pending or keys[var] != entry:
+            continue  # stale: var already eliminated or re-keyed since
+        cluster_ids = sorted(by_var[var])
+        cluster_id_set = set(cluster_ids)
+        touched = pending & frozenset().union(*(supports[i] for i in cluster_ids))
+        local = tuple(sorted(v for v in touched if by_var[v] <= cluster_id_set))
+        merged = merge(cluster_ids, local, next_id)
+        for cid in cluster_ids:
+            for v in supports.pop(cid):
+                ids = by_var[v]
+                ids.discard(cid)
+                if not ids:
+                    del by_var[v]
+        supports[next_id] = merged
+        for v in merged:
+            by_var.setdefault(v, set()).add(next_id)
+        next_id += 1
+        pending.difference_update(local)
+        for v in touched:
+            if v not in pending:
+                continue
+            if v in by_var:
+                keys[v] = k = key(v)
+                heapq.heappush(heap, k)
+            else:
+                pending.discard(v)
+    return next_id
+
+
+# ----------------------------------------------------------------------
+# Component-cached projection (CTL atoms over combinational nets)
+# ----------------------------------------------------------------------
+
+@dataclass
+class Projection:
+    """Outcome of one :meth:`ComponentProjector.project` call."""
+
+    node: int
+    #: Components the projected operand's support reaches.
+    touched: int
+    #: Untouched components answered from the cache (not recomputed).
+    reused: int
+
+
+class ComponentProjector:
+    """``∃(vars − keep). f ∧ ∧pool`` for a fixed pool and many ``f``.
+
+    The pool is split (union-find) into components connected through
+    variables outside ``keep``.  Existential quantification distributes
+    over conjuncts whose quantified supports are disjoint, so
+
+        ∃Q. f ∧ ∧pool = (∃Q. f ∧ ∧touched) ∧ ∧(∃Q. component)
+
+    where ``touched`` are the components sharing a quantified variable
+    with ``f`` and the right-hand product runs over all others.  Each
+    component's projection is computed once, on first need, and kept as
+    a registered GC root named ``<root_prefix>.<k>``; a call then only
+    multiplies the components ``f`` touches.  The result is the same
+    canonical node as projecting the whole pool.
+    """
+
+    def __init__(
+        self,
+        bdd: BDD,
+        pool: Sequence[Conjunct],
+        keep: Iterable[int],
+        root_prefix: str,
+    ):
+        self.bdd = bdd
+        self.keep = frozenset(keep)
+        self.root_prefix = root_prefix
+        parent = list(range(len(pool)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        owner: Dict[int, int] = {}
+        for i, c in enumerate(pool):
+            for v in c.support - self.keep:
+                parent[find(i)] = find(owner.setdefault(v, i))
+        members: Dict[int, List[Conjunct]] = {}
+        for i, c in enumerate(pool):
+            members.setdefault(find(i), []).append(c)
+        self.components: List[List[Conjunct]] = list(members.values())
+        self._component_of: Dict[int, int] = {
+            v: k
+            for k, component in enumerate(self.components)
+            for c in component
+            for v in c.support - self.keep
+        }
+        self._projected: Dict[int, int] = {}
+
+    def _project(self, conjuncts: Sequence[Conjunct]) -> int:
+        quantify = frozenset().union(*(c.support for c in conjuncts)) - self.keep
+        return multiply_and_quantify(
+            self.bdd, conjuncts, set(quantify), method="greedy"
+        ).node
+
+    def project(self, node: int) -> Projection:
+        """Project ``node ∧ ∧pool`` onto ``keep``."""
+        bdd = self.bdd
+        support = frozenset(bdd.support(node))
+        touched = {self._component_of[v] for v in support if v in self._component_of}
+        reused = 0
+        # The operand is only a local here; keep it alive across the
+        # safe points of the component projections computed below.
+        bdd.register_root(f"{self.root_prefix}.operand", node)
+        try:
+            for k, component in enumerate(self.components):
+                if k in touched:
+                    continue
+                if k in self._projected:
+                    reused += 1
+                    continue
+                self._projected[k] = self._project(component)
+                bdd.register_root(f"{self.root_prefix}.{k}", self._projected[k])
+            group = [Conjunct(node, support, "atom")] + [
+                c for k in sorted(touched) for c in self.components[k]
+            ]
+            product = self._project(group)
+        finally:
+            bdd.deregister_root(f"{self.root_prefix}.operand")
+        others = (p for k, p in self._projected.items() if k not in touched)
+        return Projection(
+            node=bdd.conj(itertools.chain([product], others)),
+            touched=len(touched),
+            reused=reused,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -367,26 +523,22 @@ def plan_schedule(
     table: Dict[int, FrozenSet[int]] = {
         i: frozenset(s) for i, s in enumerate(supports)
     }
-    next_slot = [len(table)]
-    by_var: Dict[int, Set[int]] = {}
-    for slot, support in table.items():
-        for v in support:
-            by_var.setdefault(v, set()).add(slot)
+    by_var = _index(table)
     steps: List[PlanStep] = []
+    next_slot = len(table)
     if groups:
         for group in groups:
             slots = {s for s in group if s in table}
             if not slots:
                 continue
-            pending = {
-                v for v in quantify
-                if by_var.get(v) and by_var[v] <= slots
-            }
-            _plan_greedy_phase(
-                table, by_var, pending, steps, next_slot, allowed=slots
+            mentioned = frozenset().union(*(table[s] for s in slots))
+            private = [
+                v for v in mentioned.intersection(quantify) if by_var[v] <= slots
+            ]
+            next_slot = _plan_greedy_phase(
+                table, by_var, private, steps, next_slot, allowed=slots
             )
-    pending = {v for v in quantify if by_var.get(v)}
-    _plan_greedy_phase(table, by_var, pending, steps, next_slot, allowed=None)
+    _plan_greedy_phase(table, by_var, quantify, steps, next_slot, allowed=None)
     tail = tuple(sorted(table, key=lambda slot: len(table[slot])))
     return ImageSchedule(inputs=len(supports), steps=steps, tail=tail)
 
@@ -394,59 +546,30 @@ def plan_schedule(
 def _plan_greedy_phase(
     table: Dict[int, FrozenSet[int]],
     by_var: Dict[int, Set[int]],
-    pending: Set[int],
+    candidates: Iterable[int],
     steps: List[PlanStep],
-    next_slot: List[int],
+    next_slot: int,
     allowed: Optional[Set[int]],
-) -> None:
-    """One greedy elimination phase over ``pending`` variables.
+) -> int:
+    """One greedy elimination phase over ``candidates``; returns next slot.
 
     Mutates the shared planner state.  ``allowed`` (group phases)
     restricts clustering to a slot set; merge results join it, so the
     invariant ``by_var[v] <= allowed`` holds for the phase's pending
     variables throughout.
     """
-    while pending:
-        def cost(var: int) -> Tuple[int, int, int]:
-            union: Set[int] = set()
-            for slot in by_var[var]:
-                union |= table[slot]
-            return (len(union), len(by_var[var]), var)
 
-        var = min(pending, key=cost)
-        cluster_ids = sorted(by_var[var])
-        cluster_id_set = set(cluster_ids)
-        local = {
-            v for v in pending
-            if by_var.get(v) and by_var[v] <= cluster_id_set
-        }
-        union: Set[int] = set()
-        for slot in cluster_ids:
-            union |= table[slot]
+    def merge(
+        cluster_ids: List[int], local: Tuple[int, ...], new_slot: int
+    ) -> FrozenSet[int]:
         ordered = sorted(cluster_ids, key=lambda slot: len(table[slot]))
-        steps.append(
-            PlanStep(
-                merge=tuple(ordered),
-                quantify=tuple(sorted(local)),
-                result=next_slot[0],
-            )
-        )
-        merged = frozenset(union - local)
-        for slot in cluster_ids:
-            for v in table[slot]:
-                ids = by_var[v]
-                ids.discard(slot)
-                if not ids:
-                    del by_var[v]
-            del table[slot]
-        table[next_slot[0]] = merged
-        for v in merged:
-            by_var.setdefault(v, set()).add(next_slot[0])
+        steps.append(PlanStep(merge=tuple(ordered), quantify=local, result=new_slot))
         if allowed is not None:
-            allowed.add(next_slot[0])
-        next_slot[0] += 1
-        pending -= local
-        pending = {v for v in pending if by_var.get(v)}
+            allowed.add(new_slot)
+        union = frozenset().union(*(table[slot] for slot in cluster_ids))
+        return union - frozenset(local)
+
+    return _eliminate(table, by_var, candidates, next_slot, merge)
 
 
 def execute_schedule(

@@ -33,7 +33,7 @@ from typing import Dict, Optional, Sequence, Set
 from repro.blifmv.ast import BlifMvError, Model
 from repro.network.fsm import SymbolicFsm
 from repro.network.product import _merge_into
-from repro.network.quantify import Conjunct, multiply_and_quantify
+from repro.network.quantify import ComponentProjector, multiply_and_quantify
 
 IMPL = "impl."
 SPEC = "spec."
@@ -77,32 +77,34 @@ def _side_transition(fsm: SymbolicFsm, prefix: str, keep: Set[int]) -> int:
     return multiply_and_quantify(bdd, pool, quantify, method="greedy").node
 
 
-def _observable_predicate(
-    fsm: SymbolicFsm, prefix: str, net: str, value: str, x_bits: Set[int]
-) -> int:
-    """May-projection of ``net=value`` onto the side's present state."""
-    bdd = fsm.bdd
-    var = fsm.var(prefix + net)
-    if set(var.bits) <= x_bits:
-        return var.literal(value)
-    literal = var.literal(value)
+def _observable_projector(
+    fsm: SymbolicFsm, prefix: str, x_bits: Set[int]
+) -> ComponentProjector:
+    """Projector of one side's y-free conjuncts onto its present state."""
     y_like = {
         b for latch in fsm.latches for b in latch.y.bits
     }
     pool = [
         c for c in fsm.conjuncts
         if not (set(c.support) & y_like)
-        and any(bdd.var_name(v).startswith(prefix) for v in c.support)
+        and any(fsm.bdd.var_name(v).startswith(prefix) for v in c.support)
     ]
-    pool = list(pool) + [
-        Conjunct(node=literal, support=frozenset(bdd.support(literal)),
-                 label="atom")
-    ]
-    quantify: Set[int] = set()
-    for c in pool:
-        quantify |= set(c.support)
-    quantify -= x_bits
-    return multiply_and_quantify(bdd, pool, quantify, method="greedy").node
+    return ComponentProjector(fsm.bdd, pool, x_bits, f"refine.{prefix}atom")
+
+
+def _observable_predicate(
+    fsm: SymbolicFsm,
+    projector: ComponentProjector,
+    prefix: str,
+    net: str,
+    value: str,
+) -> int:
+    """May-projection of ``net=value`` onto the side's present state."""
+    var = fsm.var(prefix + net)
+    literal = var.literal(value)
+    if set(var.bits) <= projector.keep:
+        return literal
+    return projector.project(literal).node
 
 
 def check_refinement(
@@ -148,10 +150,12 @@ def check_refinement(
         fsm.mdd.domain_constraint(l.x for l in impl_latches),
         fsm.mdd.domain_constraint(l.x for l in spec_latches),
     )
+    impl_projector = _observable_projector(fsm, IMPL, set(ix))
+    spec_projector = _observable_projector(fsm, SPEC, set(sx))
     for net in observables:
         for value in implementation.domain(net):
-            p_impl = _observable_predicate(fsm, IMPL, net, value, set(ix))
-            p_spec = _observable_predicate(fsm, SPEC, net, value, set(sx))
+            p_impl = _observable_predicate(fsm, impl_projector, IMPL, net, value)
+            p_spec = _observable_predicate(fsm, spec_projector, SPEC, net, value)
             relation = bdd.and_(relation, bdd.xnor(p_impl, p_spec))
 
     iy_cube = bdd.cube(iy)

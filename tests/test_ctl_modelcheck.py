@@ -16,7 +16,12 @@ from repro.ctl import ModelChecker, check_ctl, parse_ctl
 from repro.ctl.ast import (
     AF, AG, AU, AX, And, Atom, EF, EG, EU, EX, Formula, Not, Or, TrueF,
 )
+from repro.models import GALLERY, get_spec
 from repro.network import SymbolicFsm
+from repro.network.quantify import (
+    ComponentProjector, Conjunct, multiply_and_quantify,
+)
+from repro.trace.tracer import Tracer
 
 
 def build(text):
@@ -283,3 +288,120 @@ class TestWireAtoms:
         never_w = checker.eval(parse_ctl("!w=1"))
         got = {s["s"] for s in fsm.states_iter(never_w)}
         assert got == {"0"}
+
+
+def full_pool_projection(fsm, literal):
+    """Reference may-projection: one greedy run over the whole y-free pool."""
+    bdd = fsm.bdd
+    x_bits = set(fsm.x_bits())
+    y_bits = set(fsm.y_bits())
+    pool = [c for c in fsm.conjuncts if not (c.support & y_bits)]
+    pool.append(Conjunct(literal, frozenset(bdd.support(literal)), "atom"))
+    quantify = set().union(*(c.support for c in pool)) - x_bits
+    return multiply_and_quantify(bdd, pool, quantify, method="greedy").node
+
+
+def formula_atoms(formula):
+    if isinstance(formula, Atom):
+        yield formula
+    for child in vars(formula).values():
+        if isinstance(child, Formula):
+            yield from formula_atoms(child)
+
+
+def wire_atoms(fsm, pif=None):
+    """The property atoms over combinational nets, then one per other net."""
+    state = {v.name for v in fsm.x_vars()} | {v.name for v in fsm.y_vars()}
+    atoms = [
+        atom
+        for _, formula in (pif.ctl_props if pif is not None else ())
+        for atom in formula_atoms(formula)
+        if atom.var not in state
+    ]
+    seen = {atom.var for atom in atoms}
+    atoms += [
+        Atom(var.name, (var.values[-1],))
+        for var in fsm.mdd.variables
+        if var.name not in state and var.name not in seen
+    ]
+    return list(dict.fromkeys(atoms))
+
+
+PARITY_DESIGNS = [(name, {}) for name in sorted(GALLERY)] + [
+    (name, {"n": 4}) for name in ("philos_hier", "scheduler_hier", "gigamax_hier")
+]
+
+
+class TestComponentCachedAtoms:
+    @pytest.mark.parametrize(
+        "name,params", PARITY_DESIGNS, ids=[n for n, _ in PARITY_DESIGNS]
+    )
+    def test_atoms_match_full_pool_projection(self, name, params):
+        spec = get_spec(name, **params)
+        fsm = SymbolicFsm(spec.elaborate())
+        fsm.build_transition()
+        checker = ModelChecker(fsm)
+        bdd = fsm.bdd
+        atoms = wire_atoms(fsm, spec.pif)
+        assert atoms
+        for atom in atoms:
+            # Only registered roots survive: the cached component
+            # projections must be among them.
+            bdd.gc()
+            got = checker._atom_states(atom)
+            want = bdd.and_(
+                full_pool_projection(fsm, fsm.var(atom.var).literal(atom.values)),
+                checker.space,
+            )
+            assert got == want, atom
+        assert fsm.stats.counter("atom_projections") == len(atoms)
+
+    def test_whole_pool_projection_is_not_true(self):
+        """The cached projections carry constraints; dropping them is wrong."""
+        fsm = SymbolicFsm(get_spec("philos_hier", n=4).elaborate())
+        assert full_pool_projection(fsm, fsm.bdd.true) != fsm.bdd.true
+        checker = ModelChecker(fsm)
+        checker._atom_states(wire_atoms(fsm)[0])
+        projected = checker._projector._projected.values()
+        assert any(node != fsm.bdd.true for node in projected)
+
+    def test_operand_spanning_two_components(self):
+        fsm = SymbolicFsm(get_spec("philos_hier", n=4).elaborate())
+        bdd = fsm.bdd
+        x_bits = set(fsm.x_bits())
+        y_bits = set(fsm.y_bits())
+        pool = [c for c in fsm.conjuncts if not (c.support & y_bits)]
+        projector = ComponentProjector(bdd, pool, x_bits, "test.atom")
+        by_component = {}
+        for atom in wire_atoms(fsm):
+            var = fsm.var(atom.var)
+            k = projector._component_of.get(var.bits[0])
+            if k is not None:
+                by_component.setdefault(k, var.literal(atom.values))
+        assert len(by_component) >= 2
+        first, second = list(by_component.values())[:2]
+        operand = bdd.or_(first, second)
+        projection = projector.project(operand)
+        assert projection.touched == 2
+        assert projection.reused == 0  # first call computes every other one
+        assert projection.node == full_pool_projection(fsm, operand)
+        again = projector.project(operand)
+        assert again.node == projection.node
+        assert again.reused == len(projector.components) - 2
+
+
+def test_atom_counters_and_trace_instant():
+    fsm = build(TestWireAtoms.WIRED)
+    fsm.stats.tracer = Tracer()
+    fsm.bdd.tracer = fsm.stats.tracer
+    checker = ModelChecker(fsm)
+    checker.eval(parse_ctl("w=1"))
+    checker.eval(parse_ctl("w=0"))
+    snapshot = fsm.stats.snapshot()["counters"]
+    assert snapshot["atom_projections"] == 2
+    assert snapshot["atom_components_reused"] >= 0
+    assert "atom_projections: 2" in fsm.stats.format()
+    events = [e for e in fsm.stats.tracer.events if e.get("name") == "mc.atom"]
+    assert len(events) == 2
+    assert events[0]["args"]["var"] == "w"
+    assert events[0]["args"]["components"] == len(checker._projector.components)
