@@ -16,6 +16,7 @@ All node-count columns are deterministic, so ``compare.py`` gates them
 as regressions (see ``is_node_column``), not as timing noise.
 """
 
+import contextlib
 import random
 import time
 
@@ -243,28 +244,46 @@ def test_ctl_negation_mc(benchmark, results_collector):
 #
 # Two workloads from the batched-apply engine's target consumers:
 # table-row conjunct construction (``encode``) and fused relational
-# products (``and_exists_many``).  Each workload is measured once per
-# ``batch_apply`` setting on otherwise identical inputs; the node
-# columns are deterministic and *must* agree between the paired rows
-# (``compare.py`` gates them, and the batched rows assert parity with a
-# scalar rerun inline so a divergence fails the bench itself).
+# products (``and_exists_many``).  Each workload is measured once on
+# each kernel route on otherwise identical inputs; the node columns are
+# deterministic and *must* agree between the paired rows (``compare.py``
+# gates them, and the batched rows assert parity with a scalar rerun
+# inline so a divergence fails the bench itself).
 
 
-def _encode_workload(batch_apply: bool):
+def _always_scalar(self: BDD, n: int) -> bool:
+    self.batch_scalar_requests += n
+    return False
+
+
+@contextlib.contextmanager
+def _scalar_route():
+    """Pin the kernel's routing seam, ``BDD._use_batch``, to the scalar
+    recursion so every request list loops the scalar operator."""
+    batched = BDD._use_batch
+    BDD._use_batch = _always_scalar
+    try:
+        yield
+    finally:
+        BDD._use_batch = batched
+
+
+def _encode_workload():
     flat = get_spec("gcd").flat()
     n_rows = sum(len(t.rows) for t in flat.tables)
 
     def run():
-        return encode(flat, batch_apply=batch_apply)
+        return encode(flat)
 
     return flat, n_rows, run
 
 
 def test_table_encode_scalar(benchmark, results_collector):
     """Table-row conjunct construction with the scalar apply path."""
-    _flat, n_rows, run = _encode_workload(False)
-    run()  # warm-up: lazy imports and allocator pools skew round one
-    enc = benchmark.pedantic(run, rounds=3, iterations=1)
+    _flat, n_rows, run = _encode_workload()
+    with _scalar_route():
+        run()  # warm-up: lazy imports and allocator pools skew round one
+        enc = benchmark.pedantic(run, rounds=3, iterations=1)
     results_collector("kernel", "table_encode_scalar", {
         "seconds": benchmark.stats["mean"],
         "rows_per_s": round(n_rows / benchmark.stats["mean"], 0),
@@ -274,13 +293,13 @@ def test_table_encode_scalar(benchmark, results_collector):
 
 def test_table_encode_batched(benchmark, results_collector):
     """The same encode through the frontier-batched apply engine."""
-    _flat, n_rows, run = _encode_workload(True)
+    _flat, n_rows, run = _encode_workload()
     run()  # warm-up: lazy imports and allocator pools skew round one
     enc = benchmark.pedantic(run, rounds=3, iterations=1)
     # Construction-order independence: batched and scalar encodes build
     # the same canonical functions, hence the same node count.
-    _f2, _n2, run_scalar = _encode_workload(False)
-    assert len(run_scalar().bdd) == len(enc.bdd)
+    with _scalar_route():
+        assert len(run().bdd) == len(enc.bdd)
     results_collector("kernel", "table_encode_batched", {
         "seconds": benchmark.stats["mean"],
         "rows_per_s": round(n_rows / benchmark.stats["mean"], 0),
@@ -293,15 +312,15 @@ ANDEX_OPS = 300
 ANDEX_REQS = 128
 
 
-def _andex_workload(batch_apply: bool):
+def _andex_workload():
     """A fresh manager plus ``ANDEX_REQS`` relational-product requests.
 
     The request pool is grown with scalar connectives only (identical
-    handles under either knob); ``and_exists_many`` then either runs
-    the batched wave engine or loops the scalar recursion, which is
-    exactly the knob under measurement.
+    handles on either route); ``and_exists_many`` then either runs the
+    batched wave engine or, under :func:`_scalar_route`, loops the
+    scalar recursion, which is exactly the route under measurement.
     """
-    bdd = BDD(batch_apply=batch_apply)
+    bdd = BDD()
     for j in range(ANDEX_VARS):
         bdd.add_var(f"v{j}")
     rng = random.Random(11)
@@ -338,14 +357,15 @@ def test_andexists_scalar(benchmark, results_collector):
     def setup():
         # A fresh manager per round: a warm computed cache would turn
         # later rounds into pure lookups and fake the throughput.
-        bdd, requests = _andex_workload(False)
+        bdd, requests = _andex_workload()
         meta["bdd"] = bdd
         return (bdd, requests), {}
 
     def run(bdd, requests):
         meta["results"] = bdd.and_exists_many(requests)
 
-    benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    with _scalar_route():
+        benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
     results_collector("kernel", "andexists_scalar", {
         "seconds": benchmark.stats["mean"],
         "andex_per_s": round(ANDEX_REQS / benchmark.stats["mean"], 0),
@@ -364,7 +384,7 @@ def test_andexists_batched(benchmark, results_collector):
     meta = {}
 
     def setup():
-        bdd, requests = _andex_workload(True)
+        bdd, requests = _andex_workload()
         meta["bdd"] = bdd
         return (bdd, requests), {}
 
@@ -376,10 +396,11 @@ def test_andexists_batched(benchmark, results_collector):
 
     scalar_seconds = []
     for _ in range(3):
-        bdd, requests = _andex_workload(False)
-        t0 = time.perf_counter()
-        results = bdd.and_exists_many(requests)
-        scalar_seconds.append(time.perf_counter() - t0)
+        bdd, requests = _andex_workload()
+        with _scalar_route():
+            t0 = time.perf_counter()
+            results = bdd.and_exists_many(requests)
+            scalar_seconds.append(time.perf_counter() - t0)
     assert _andex_result_nodes(bdd, results) == batched_nodes
     speedup = min(scalar_seconds) / min(benchmark.stats["data"])
     assert speedup >= 1.5, (

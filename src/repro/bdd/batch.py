@@ -32,8 +32,8 @@ Contract highlights (see docs/kernel.md for the full writeup):
 
 The manager-facing entry points at the bottom (:func:`ite_many`,
 :func:`and_exists_many`, :func:`rename_many`, :func:`vcompose_many`)
-are called from :class:`repro.bdd.manager.BDD` when ``batch_apply`` is
-on; they convert request lists to int64 arrays, update the batch
+are called from :class:`repro.bdd.manager.BDD` for every request list of
+two or more; they convert request lists to int64 arrays, update the batch
 telemetry counters and emit ``bdd.batch_apply`` tracer instants.
 """
 

@@ -42,8 +42,6 @@ makes in-place level swaps (sifting) safe under this encoding.
 
 from __future__ import annotations
 
-import os
-
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,7 +139,6 @@ class BDD:
         auto_gc: Optional[int] = None,
         cache_limit: Optional[int] = None,
         auto_reorder: Optional[int] = None,
-        batch_apply: Optional[bool] = None,
     ) -> None:
         if auto_gc is not None and auto_gc < 1:
             raise BddError("auto_gc threshold must be positive (or None)")
@@ -217,10 +214,7 @@ class BDD:
         # O(1) negation / ITE standardization telemetry.
         self.not_calls = 0
         self.std_rewrites = 0
-        # Frontier-batched apply knob (see repro.bdd.batch) + telemetry.
-        if batch_apply is None:
-            batch_apply = os.environ.get("HSIS_BATCH_APPLY", "1") != "0"
-        self.batch_apply = bool(batch_apply)
+        # Frontier-batched apply telemetry (see repro.bdd.batch).
         self.batch_calls = 0
         self.batch_requests = 0
         self.batch_scalar_requests = 0
@@ -929,7 +923,7 @@ class BDD:
     def _use_batch(self, n: int) -> bool:
         # Single requests stay scalar: they keep the short-circuit wins
         # and skip the numpy marshalling overhead.
-        if self.batch_apply and n >= 2:
+        if n >= 2:
             return True
         self.batch_scalar_requests += n
         return False
@@ -937,11 +931,10 @@ class BDD:
     def ite_many(self, triples: Iterable[Tuple[int, int, int]]) -> List[int]:
         """Batched :meth:`ite` over many ``(f, g, h)`` triples.
 
-        With ``batch_apply`` on, all requests expand breadth-first as
-        shared per-level frontiers (one vectorized cache probe and one
-        batched unique-table find-or-create per level) and the results
-        are handle-identical to looping :meth:`ite`.  With the knob off
-        (or a single request) this is exactly that loop.
+        All requests expand breadth-first as shared per-level frontiers
+        (one vectorized cache probe and one batched unique-table
+        find-or-create per level) and the results are handle-identical
+        to looping :meth:`ite`.  A single request is exactly that loop.
         """
         reqs = [(f, g, h) for f, g, h in triples]
         if not self._use_batch(len(reqs)):

@@ -18,47 +18,20 @@ def transfer(f: int, src: BDD, dst: BDD, var_map: Dict[int, int]) -> int:
     """Copy function ``f`` from manager ``src`` into manager ``dst``.
 
     ``var_map`` maps source variable indices to destination variable
-    indices.  The destination order may be arbitrary: the copy is done by
-    Shannon expansion in destination order via ``ite``, so the result is
-    canonical in ``dst``.  This is the basis of rebuild-based reordering.
+    indices.  The destination order may be arbitrary: every source node
+    is rebuilt by Shannon expansion in destination order via ``ite``, so
+    the result is canonical in ``dst``.  This is the basis of
+    rebuild-based reordering.
 
-    When the destination manager has ``batch_apply`` on, the copy runs
-    level-by-level over the *source* DAG: one ``ite_many`` frontier per
-    source level (children are always at deeper levels, so a bottom-up
-    sweep resolves every node in ``depth`` batched calls).
+    The copy runs level-by-level over the *source* DAG: one
+    ``ite_many`` frontier per source level (children are always at
+    deeper levels, so a bottom-up sweep resolves every node in
+    ``depth`` batched calls).  Complement edges transfer for free (dst
+    is complement-edged too), so a handle maps to
+    ``memo[index] ^ complement``.
     """
     if f < 2:
         return f
-    if dst.batch_apply:
-        return _transfer_batched(f, src, dst, var_map)
-    # Explicit-stack postorder over *regular* source indices; complement
-    # edges transfer for free (dst is complement-edged too), so a handle
-    # maps to ``memo[index] ^ complement``.  Terminal handles are shared
-    # constants in both managers.
-    memo: Dict[int, int] = {}
-    root = f >> 1
-    stack = [(root, False)]
-    while stack:
-        idx, ready = stack.pop()
-        if idx in memo:
-            continue
-        if not ready:
-            stack.append((idx, True))
-            for child in (src._lo[idx], src._hi[idx]):
-                ci = child >> 1
-                if ci and ci not in memo:
-                    stack.append((ci, False))
-            continue
-        lo_h = src._lo[idx]
-        hi_h = src._hi[idx]
-        lo = (memo[lo_h >> 1] ^ (lo_h & 1)) if lo_h >= 2 else lo_h
-        hi = (memo[hi_h >> 1] ^ (hi_h & 1)) if hi_h >= 2 else hi_h
-        memo[idx] = dst.ite(dst.var(var_map[src._var[idx]]), hi, lo)
-    return memo[root] ^ (f & 1)
-
-
-def _transfer_batched(f: int, src: BDD, dst: BDD, var_map: Dict[int, int]) -> int:
-    """Frontier-batched :func:`transfer` (one ``ite_many`` per src level)."""
     lo_np, hi_np, var_np = src._lo_np, src._hi_np, src._var_np
     n = src._n
     reach = np.zeros(n, dtype=bool)

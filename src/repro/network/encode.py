@@ -96,7 +96,6 @@ def encode(
     order: Optional[List[str]] = None,
     elaboration: Optional[Elaboration] = None,
     stats=None,
-    batch_apply: Optional[bool] = None,
 ) -> EncodedNetwork:
     """Encode a flat model (no subcircuits) into an :class:`EncodedNetwork`.
 
@@ -106,10 +105,11 @@ def encode(
     the model's declared variables (the ordering portfolio races such
     candidates; see :mod:`repro.ordering_portfolio`) — latch outputs in
     the order still get their present/next bits interleaved.  ``auto_gc``,
-    ``cache_limit``, ``auto_reorder`` and ``batch_apply`` configure the
-    kernel's self-management knobs (see :class:`repro.bdd.manager.BDD`;
-    ``batch_apply`` routes table-row conjunct building and shared-shape
-    instantiation through the frontier-batched apply engine).
+    ``cache_limit`` and ``auto_reorder`` configure the kernel's
+    self-management knobs (see :class:`repro.bdd.manager.BDD`).  Table-row
+    conjunct building and shared-shape instantiation issue their work as
+    request lists, which the kernel runs on the frontier-batched apply
+    engine.
 
     ``elaboration`` (from :func:`repro.blifmv.elaborate`) switches on
     shared-shape encoding: table conjuncts are built once per distinct
@@ -147,7 +147,6 @@ def encode(
             auto_gc=auto_gc,
             cache_limit=cache_limit,
             auto_reorder=auto_reorder,
-            batch_apply=batch_apply,
         )
     )
     latch_of_output = {l.output: l for l in model.latches}
@@ -494,8 +493,9 @@ def encode_table(
     Row conjuncts build as balanced tree reductions batched *across*
     rows (see :func:`_reduce_each`): all rows' input literals AND
     together in shared frontiers, then all row relations OR together.
-    The reduction shape is the same whether the kernel executes it
-    batched or scalar, so ``batch_apply`` never changes the handles.
+    The reduction shape is the same whether the kernel executes a
+    frontier batched or scalar, so the kernel's routing never changes
+    the handles.
     """
     bdd = mdd.bdd
     in_lists = [

@@ -142,10 +142,10 @@ def _reduce_and(
     Each round pairs adjacent operands within every list and issues all
     pairs as a single :meth:`BDD.apply_many` frontier, recording every
     intermediate product in ``result.peak_size``.  The reduction shape
-    is fixed regardless of ``batch_apply`` (the kernel merely executes
-    it scalar when the knob is off), so both settings build identical
-    op DAGs.  Empty lists reduce to TRUE.  For lists of up to three
-    operands the tree is the same left fold the scalar schedulers used.
+    is fixed regardless of how the kernel executes a round (a single
+    pair runs scalar), so every routing builds the same op DAG.  Empty
+    lists reduce to TRUE.  For lists of up to three operands the tree
+    is the same left fold the scalar schedulers used.
     """
     pending = [list(l) for l in lists]
     while True:

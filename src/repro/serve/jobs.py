@@ -77,7 +77,6 @@ def run_check_job(
         cache_limit=knobs.get("cache_limit"),
         auto_reorder=knobs.get("auto_reorder"),
         tracer=Tracer() if trace else None,
-        batch_apply=knobs.get("batch_apply"),
     )
     checker = ModelChecker(fsm, fairness=pif.bind_fairness(fsm))
     verdicts = []
@@ -176,7 +175,6 @@ def run_fuzz_job(knobs: Dict[str, Any], trace: bool = False) -> TaskResult:
         stats=stats,
         auto_reorder=knobs.get("auto_reorder"),
         shared_shapes=bool(knobs.get("shared_shapes")),
-        batch_apply=knobs.get("batch_apply"),
     )
     stats.bump("serve.fuzz_trials", sweep.trials)
     return TaskResult(
@@ -213,7 +211,6 @@ def run_profile_job(
         flat,
         auto_reorder=knobs.get("auto_reorder"),
         tracer=Tracer() if trace else None,
-        batch_apply=knobs.get("batch_apply"),
     )
     if not knobs["partitioned"]:
         fsm.build_transition(method=knobs["method"])

@@ -64,15 +64,14 @@ KINDS = ("check", "fuzz", "profile")
 #: any knob that changes the computation changes the key.
 KNOB_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "check": {"auto_gc": None, "cache_limit": None, "auto_reorder": None,
-              "portfolio": None, "shared_shapes": True, "batch_apply": None},
+              "portfolio": None, "shared_shapes": True},
     "fuzz": {"trials": 25, "seed": 0, "auto_reorder": None,
-             "shared_shapes": False, "batch_apply": None},
+             "shared_shapes": False},
     "profile": {"method": "greedy", "partitioned": False,
-                "auto_reorder": None, "shared_shapes": True,
-                "batch_apply": None},
+                "auto_reorder": None, "shared_shapes": True},
 }
 
-_BOOL_KNOBS = {"partitioned", "shared_shapes", "batch_apply"}
+_BOOL_KNOBS = {"partitioned", "shared_shapes"}
 _STR_KNOBS = {"method"}
 
 

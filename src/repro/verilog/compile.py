@@ -366,7 +366,10 @@ class _ModuleCompiler:
         sequential: bool,
     ) -> Dict[str, Optional[Expr]]:
         merged: Dict[str, Optional[Expr]] = {}
-        for target in set(then_env) | set(else_env):
+        # Insertion order, not set order: the merged order decides which
+        # tables are emitted first and which fresh names they get, so a
+        # hash-ordered walk would make the compile depend on PYTHONHASHSEED.
+        for target in dict.fromkeys([*then_env, *else_env]):
             hold: Optional[Expr] = Id(target) if sequential else None
             then_val = then_env.get(target, hold)
             else_val = else_env.get(target, hold)

@@ -7,19 +7,56 @@ down against the exhaustive truth-table oracle, across random op DAGs,
 under a one-entry computed cache, through mid-batch table growth and
 tombstone pressure, and for every consumer routed through the engine
 (transfer, encode, image schedules).
+
+The scalar reference is the same kernel with its routing seam
+(``BDD._use_batch``) forced to the scalar recursion: see the
+``scalar_only`` fixture.
 """
 
-import os
+import contextlib
 import random
 
 import pytest
 
 from repro.bdd import BDD
+from repro.bdd.batch import SCALAR_FRONTIER_CUTOFF
 from repro.bdd.manager import FALSE, TRUE, BddError
 from repro.bdd.ops import transfer
 from repro.oracle.truthtable import TruthTable
 
 N = 5
+
+
+def _always_scalar(self: BDD, n: int) -> bool:
+    self.batch_scalar_requests += n
+    return False
+
+
+@pytest.fixture
+def scalar_only(monkeypatch):
+    """Context manager that routes every request list, of any length,
+    through the scalar recursion inside its block."""
+
+    @contextlib.contextmanager
+    def scalar():
+        with monkeypatch.context() as m:
+            m.setattr(BDD, "_use_batch", _always_scalar)
+            yield
+
+    return scalar
+
+
+def transfer_reference(f: int, src: BDD, dst: BDD, var_map, memo=None) -> int:
+    """Recursive Shannon-expansion copy of ``f`` into ``dst``."""
+    if f < 2:
+        return f
+    memo = {} if memo is None else memo
+    idx = f >> 1
+    if idx not in memo:
+        lo = transfer_reference(src._lo[idx], src, dst, var_map, memo)
+        hi = transfer_reference(src._hi[idx], src, dst, var_map, memo)
+        memo[idx] = dst.ite(dst.var(var_map[src._var[idx]]), hi, lo)
+    return memo[idx] ^ (f & 1)
 
 
 def fresh(**kwargs) -> BDD:
@@ -88,34 +125,40 @@ class TestIteMany:
         for node, ((_, tf), (_, tg), (_, th)) in zip(results, picks):
             assert_matches_oracle(bdd, node, tf.ite(tg, th), "ite_many")
 
-    def test_cross_manager_parity(self):
-        """Opposite-knob managers, same requests: same functions and
-        node counts.  (Raw handle values are only canonical within one
-        unique table — allocation order differs across managers — so
-        equality is asserted per-function via the oracle and sizes.)"""
+    def test_cross_manager_parity(self, scalar_only):
+        """Batched and scalar-routed managers, same requests: same
+        functions and node counts.  (Raw handle values are only canonical
+        within one unique table — allocation order differs across
+        managers — so equality is asserted per-function via the oracle
+        and sizes.)"""
         rng1, rng2 = random.Random(3), random.Random(3)
-        batched, scalar = fresh(batch_apply=True), fresh(batch_apply=False)
-        p1 = random_pool(batched, rng1)
-        p2 = random_pool(scalar, rng2)
-        assert [n for n, _ in p1] == [n for n, _ in p2]
-        assert len(batched) == len(scalar)
+        batched = fresh()
+        p1 = random_pool(batched, rng1, steps=40)
         reqs = [
             (rng1.randrange(len(p1)), rng1.randrange(len(p1)),
              rng1.randrange(len(p1)))
-            for _ in range(25)
+            for _ in range(96)
         ]
         got = batched.ite_many([(p1[a][0], p1[b][0], p1[c][0])
                                 for a, b, c in reqs])
-        want = scalar.ite_many([(p2[a][0], p2[b][0], p2[c][0])
-                                for a, b, c in reqs])
+        with scalar_only():
+            scalar = fresh()
+            p2 = random_pool(scalar, rng2, steps=40)
+            triples = [(p2[a][0], p2[b][0], p2[c][0]) for a, b, c in reqs]
+            want = scalar.ite_many(triples)
+            # The scalar route is exactly the looped operator.
+            assert want == [scalar.ite(f, g, h) for f, g, h in triples]
+        assert [n for n, _ in p1] == [n for n, _ in p2]
         for (a, b, c), gn, wn in zip(reqs, got, want):
             table = p1[a][1].ite(p1[b][1], p1[c][1])
             assert_matches_oracle(batched, gn, table, "batched")
             assert_matches_oracle(scalar, wn, table, "scalar")
             assert batched.size(gn) == scalar.size(wn)
-        assert batched.batch_calls >= 1
+        assert len(batched) == len(scalar)
+        # At least one level was wide enough for the vectorized wave.
+        assert batched.batch_max_width >= SCALAR_FRONTIER_CUTOFF
         assert scalar.batch_calls == 0
-        assert scalar.batch_scalar_requests >= 25
+        assert scalar.batch_scalar_requests >= 96
 
     def test_in_frontier_duplicates_dedupe(self):
         bdd = fresh()
@@ -279,31 +322,20 @@ class TestKernelHealthMidBatch:
 
 
 class TestKnob:
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("HSIS_BATCH_APPLY", "0")
-        assert BDD().batch_apply is False
-        monkeypatch.setenv("HSIS_BATCH_APPLY", "1")
-        assert BDD().batch_apply is True
-        monkeypatch.delenv("HSIS_BATCH_APPLY")
-        assert BDD().batch_apply is True
-        assert BDD(batch_apply=False).batch_apply is False
+    """The route is chosen by request count alone; nothing selects it."""
 
-    def test_scalar_knob_produces_identical_results(self):
-        rng = random.Random(47)
-        off = fresh(batch_apply=False)
-        pool = random_pool(off, rng)
-        triples = [
-            tuple(pool[rng.randrange(len(pool))][0] for _ in range(3))
-            for _ in range(30)
-        ]
-        assert off.batch_calls == 0
-        assert off.ite_many(triples) == [off.ite(f, g, h)
-                                         for f, g, h in triples]
-        assert off.batch_calls == 0
+    def test_no_user_selection(self):
+        with pytest.raises(TypeError):
+            BDD(batch_apply=False)
+        bdd = fresh()
+        assert not hasattr(bdd, "batch_apply")
+        f, g = bdd.var(0), bdd.var(1)
+        bdd.ite_many([(f, g, bdd.false)])
+        assert (bdd.batch_calls, bdd.batch_scalar_requests) == (0, 1)
+        bdd.ite_many([(f, g, bdd.false), (g, f, bdd.true)])
+        assert (bdd.batch_calls, bdd.batch_scalar_requests) == (1, 1)
 
     def test_stats_exposed(self):
-        from repro.bdd.batch import SCALAR_FRONTIER_CUTOFF
-
         bdd = fresh()
         # Distinct triples, wide enough to clear the scalar-fallback
         # cutoff so the wave engine actually runs a frontier.
@@ -333,32 +365,33 @@ class TestTransferBatched:
         perm = list(range(N))
         rng.shuffle(perm)
         var_map = {i: perm[i] for i in range(N)}
-        dst = fresh(batch_apply=True)
+        dst = fresh()
         for f, table in pool:
             hb = transfer(f, src, dst, var_map)
-            # Same destination table: the scalar path must find every
-            # node the batched copy created — identical handles.
-            dst.batch_apply = False
-            try:
-                assert transfer(f, src, dst, var_map) == hb
-            finally:
-                dst.batch_apply = True
+            # Same destination table: the Shannon-expansion reference
+            # must find every node the batched copy created.
+            assert transfer_reference(f, src, dst, var_map) == hb
             for a in range(1 << N):
                 assignment = {perm[j]: bool((a >> j) & 1) for j in range(N)}
                 assert dst.eval(hb, assignment) == table.eval(a)
 
 
 class TestConsumers:
-    def test_encode_gallery_handle_parity(self):
+    def test_encode_gallery_handle_parity(self, scalar_only):
         from repro.models import get_spec
         from repro.network.encode import encode
 
-        for name in ("traffic", "railroad"):
-            encs = {
-                ba: encode(get_spec(name).flat(), batch_apply=ba)
-                for ba in (True, False)
-            }
-            on, off = encs[True], encs[False]
+        # traffic and railroad only issue narrow batches; gcd's table
+        # rows are wide enough for the vectorized wave.
+        for name in ("traffic", "railroad", "gcd"):
+            flat = get_spec(name).flat()
+            on = encode(flat)
+            with scalar_only():
+                off = encode(flat)
+            assert on.bdd.batch_calls > 0
+            wide = on.bdd.batch_max_width >= SCALAR_FRONTIER_CUTOFF
+            assert wide == (name == "gcd")
+            assert off.bdd.batch_calls == 0
             assert len(on.bdd) == len(off.bdd)
             assert len(on.conjuncts) == len(off.conjuncts)
             for ca, cb in zip(on.conjuncts, off.conjuncts):
@@ -366,18 +399,22 @@ class TestConsumers:
                 assert ca.support == cb.support
             assert on.bdd.size(on.init) == off.bdd.size(off.init)
 
-    def test_reachability_verdict_parity(self):
+    def test_reachability_verdict_parity(self, scalar_only):
         from repro.models import get_spec
         from repro.network.fsm import SymbolicFsm
 
-        flat = get_spec("traffic").flat()
-        runs = {}
-        for ba in (True, False):
-            fsm = SymbolicFsm(flat, batch_apply=ba)
+        def run(flat):
+            fsm = SymbolicFsm(flat)
             reach = fsm.reachable(partitioned=True)
-            runs[ba] = (
+            return (
                 fsm.count_states(reach.reached),
                 reach.iterations,
                 [fsm.count_states(r) for r in reach.rings],
             )
-        assert runs[True] == runs[False]
+
+        # vending's encode runs wide frontiers; traffic's stays narrow.
+        for name in ("traffic", "vending"):
+            flat = get_spec(name).flat()
+            batched = run(flat)
+            with scalar_only():
+                assert run(flat) == batched, name

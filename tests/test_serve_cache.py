@@ -12,7 +12,17 @@ import asyncio
 import json
 import os
 
-from repro.serve import HsisServer, ServeClient, cache_key, canonical_knobs
+import pytest
+
+from repro.serve import (
+    KNOB_DEFAULTS,
+    HsisServer,
+    ProtocolError,
+    ServeClient,
+    cache_key,
+    canonical_knobs,
+    parse_submit,
+)
 from repro.serve.cache import ResultCache, result_digest
 
 STALL_BUDGET_SECONDS = 60.0
@@ -235,6 +245,23 @@ class TestKeySensitivity:
         assert cache_key("check", "d", "p2", knobs) != base
         assert cache_key("profile", "d", "p",
                          canonical_knobs("profile", {})) != base
+
+    def test_batch_apply_is_not_a_knob(self):
+        """The kernel picks its apply route itself; a submission cannot,
+        so the route never forks the cache key."""
+        for kind in KNOB_DEFAULTS:
+            canonical = canonical_knobs(kind, {})
+            assert "batch_apply" not in canonical
+            assert "batch_apply" not in json.dumps(canonical)
+            with pytest.raises(ProtocolError) as err:
+                parse_submit({
+                    "op": "submit", "kind": kind,
+                    "design": None if kind == "fuzz" else {"gallery": "traffic"},
+                    "knobs": {"batch_apply": False},
+                })
+            message = str(err.value)
+            assert "unknown knob(s)" in message and "batch_apply" in message
+            assert f"(known: {', '.join(sorted(canonical))})" in message
 
     def test_knob_spelling_served_from_cache_end_to_end(self, tmp_path):
         """A resubmission with defaults spelled out explicitly hits the

@@ -5,8 +5,14 @@ behaviour (reached states, functions) rather than the BLIF-MV text — the
 lowering is free to choose its table decomposition.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.blifmv import flatten
 from repro.ctl import ModelChecker, check_ctl
 from repro.network import SymbolicFsm
@@ -373,3 +379,43 @@ endmodule
         design = compile_verilog(src)
         again = flatten(parse(write(design)))
         assert again.sources["a"].startswith("m.v:")
+
+
+_DIGEST_SCRIPT = """
+import json
+from repro.blifmv import write
+from repro.models import get_spec
+from repro.ordering_portfolio import design_digest
+out = {}
+for name in ("gigamax", "2mdlc"):
+    spec = get_spec(name)
+    out[name] = [design_digest(spec.flat()), write(spec.design)]
+print(json.dumps(out))
+"""
+
+
+class TestHashSeedDeterminism:
+    """vl2mv output must not depend on the interpreter's string hashing.
+
+    The order-cache and serve result-cache key on ``design_digest``, so a
+    compile that follows ``PYTHONHASHSEED`` would miss every warm entry
+    after a restart.
+    """
+
+    @staticmethod
+    def compile_under(seed):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        return json.loads(proc.stdout)
+
+    def test_digest_and_blifmv_identical_across_hash_seeds(self):
+        runs = [self.compile_under(seed) for seed in (1, 2, 3)]
+        for name in ("gigamax", "2mdlc"):
+            digests = {run[name][0] for run in runs}
+            texts = {run[name][1] for run in runs}
+            assert len(digests) == 1, (name, digests)
+            assert len(texts) == 1, name
