@@ -23,11 +23,13 @@ import time
 import numpy as np
 
 from repro.bdd import BDD
+from repro.bdd.mdd import MddManager
 from repro.blifmv import flatten, parse
+from repro.blifmv.ast import Any_, Eq, ValueSet
 from repro.ctl import check_ctl, parse_ctl
 from repro.models import get_spec, pingpong
 from repro.network import SymbolicFsm
-from repro.network.encode import encode
+from repro.network.encode import NEXT_SUFFIX, encode_table, variable_order
 
 # ----------------------------------------------------------------------
 # Workload builders
@@ -239,15 +241,120 @@ def test_ctl_negation_mc(benchmark, results_collector):
 
 
 # ----------------------------------------------------------------------
-# Frontier-batched apply: scalar-vs-batched construction rows
+# Table encoding: column-split case trees vs row reduction
 # ----------------------------------------------------------------------
 #
-# Two workloads from the batched-apply engine's target consumers:
-# table-row conjunct construction (``encode``) and fused relational
-# products (``and_exists_many``).  Each workload is measured once on
-# each kernel route on otherwise identical inputs; the node columns are
+# ``encode_table`` builds each BLIF-MV table as one case tree over its
+# columns (``MddManager.relation``).  The row measures it on scheduler,
+# whose 284 fully enumerated tables are the heaviest encode of Table 1,
+# and times the row-reduction encoder it replaced on the same variable
+# order as ``reference_s``.  Both encoders run in fresh managers; the
+# bench asserts inline that they return identical handles.
+
+
+def _bare_manager(flat, order):
+    """A fresh manager with ``flat``'s variables declared in ``order``."""
+    mdd = MddManager(BDD())
+    latches = {latch.output for latch in flat.latches}
+    variables = {}
+    for name in order:
+        if name in latches:
+            variables[name], _ = mdd.declare_pair(
+                name, name + NEXT_SUFFIX, flat.domain(name)
+            )
+        else:
+            variables[name] = mdd.declare(name, flat.domain(name))
+    return mdd, variables
+
+
+def _reduce_each(bdd: BDD, op: str, lists):
+    """Tree-reduce each list with one ``apply_many`` frontier per round."""
+    pending = [list(l) for l in lists]
+    while any(len(l) > 1 for l in pending):
+        pairs, slots = [], []
+        for i, l in enumerate(pending):
+            for j in range(0, len(l) - 1, 2):
+                slots.append((i, j // 2))
+                pairs.append((l[j], l[j + 1]))
+        merged = bdd.apply_many(op, pairs)
+        nxt = [l[0::2] for l in pending]
+        for (i, j), r in zip(slots, merged):
+            nxt[i][j] = r
+        pending = nxt
+    identity = bdd.true if op == "and" else bdd.false
+    return [l[0] if l else identity for l in pending]
+
+
+def _reference_table(mdd, variables, table):
+    """The row-reduction encoder: OR of per-row literal cubes."""
+    bdd = mdd.bdd
+
+    def literal(name, entry):
+        var = variables[name]
+        if isinstance(entry, Any_):
+            return bdd.true
+        if isinstance(entry, Eq):
+            return var.eq_var(variables[entry.name])
+        return var.literal(entry.values if isinstance(entry, ValueSet) else entry)
+
+    in_parts = _reduce_each(bdd, "and", [
+        [literal(n, e) for n, e in zip(table.inputs, row.inputs)] for row in table.rows
+    ])
+    out_parts = _reduce_each(bdd, "and", [
+        [literal(n, e) for n, e in zip(table.outputs, row.outputs)] for row in table.rows
+    ])
+    row_nodes = bdd.apply_many("and", list(zip(in_parts, out_parts)))
+    rows, cover = _reduce_each(bdd, "or", [row_nodes, in_parts])
+    if table.default is not None:
+        default = bdd.conj(
+            literal(n, e) for n, e in zip(table.outputs, table.default)
+        )
+        rows = bdd.or_(rows, bdd.and_(bdd.not_(cover), default))
+    return bdd.conj(
+        [rows] + [variables[n].domain_constraint for n in table.variables]
+    )
+
+
+def test_table_encode(benchmark, results_collector):
+    """Every scheduler table through ``encode_table``, fresh manager."""
+    flat = get_spec("scheduler").flat()
+    order = variable_order(flat)
+    n_rows = sum(len(t.rows) for t in flat.tables)
+    meta = {}
+
+    def setup():
+        mdd, variables = _bare_manager(flat, order)
+        meta["mdd"] = mdd
+        return (mdd, variables), {}
+
+    def run(mdd, variables):
+        for table in flat.tables:
+            encode_table(mdd, variables, flat, table)
+
+    benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    final_nodes = len(meta["mdd"].bdd)
+
+    mdd, variables = _bare_manager(flat, order)
+    t0 = time.perf_counter()
+    reference = [_reference_table(mdd, variables, t) for t in flat.tables]
+    reference_s = time.perf_counter() - t0
+    assert [encode_table(mdd, variables, flat, t) for t in flat.tables] == reference
+    results_collector("kernel", "table_encode", {
+        "seconds": benchmark.stats["mean"],
+        "rows_per_s": round(n_rows / benchmark.stats["mean"], 0),
+        "final_nodes": final_nodes,
+        "reference_s": reference_s,
+    })
+
+
+# ----------------------------------------------------------------------
+# Frontier-batched apply: scalar-vs-batched relational products
+# ----------------------------------------------------------------------
+#
+# Fused relational products (``and_exists_many``) measured once on each
+# kernel route on otherwise identical inputs; the node columns are
 # deterministic and *must* agree between the paired rows (``compare.py``
-# gates them, and the batched rows assert parity with a scalar rerun
+# gates them, and the batched row asserts parity with a scalar rerun
 # inline so a divergence fails the bench itself).
 
 
@@ -266,45 +373,6 @@ def _scalar_route():
         yield
     finally:
         BDD._use_batch = batched
-
-
-def _encode_workload():
-    flat = get_spec("gcd").flat()
-    n_rows = sum(len(t.rows) for t in flat.tables)
-
-    def run():
-        return encode(flat)
-
-    return flat, n_rows, run
-
-
-def test_table_encode_scalar(benchmark, results_collector):
-    """Table-row conjunct construction with the scalar apply path."""
-    _flat, n_rows, run = _encode_workload()
-    with _scalar_route():
-        run()  # warm-up: lazy imports and allocator pools skew round one
-        enc = benchmark.pedantic(run, rounds=3, iterations=1)
-    results_collector("kernel", "table_encode_scalar", {
-        "seconds": benchmark.stats["mean"],
-        "rows_per_s": round(n_rows / benchmark.stats["mean"], 0),
-        "final_nodes": len(enc.bdd),
-    })
-
-
-def test_table_encode_batched(benchmark, results_collector):
-    """The same encode through the frontier-batched apply engine."""
-    _flat, n_rows, run = _encode_workload()
-    run()  # warm-up: lazy imports and allocator pools skew round one
-    enc = benchmark.pedantic(run, rounds=3, iterations=1)
-    # Construction-order independence: batched and scalar encodes build
-    # the same canonical functions, hence the same node count.
-    with _scalar_route():
-        assert len(run().bdd) == len(enc.bdd)
-    results_collector("kernel", "table_encode_batched", {
-        "seconds": benchmark.stats["mean"],
-        "rows_per_s": round(n_rows / benchmark.stats["mean"], 0),
-        "final_nodes": len(enc.bdd),
-    })
 
 
 ANDEX_VARS = 22

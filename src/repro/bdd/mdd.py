@@ -16,15 +16,34 @@ boolean variables.  This module provides:
 Domains whose size is not a power of two leave unused binary codes; every
 :class:`MvVar` carries a ``domain_constraint`` BDD excluding them, and the
 manager can provide the conjunction over any variable set.
+
+:meth:`MddManager.relation` builds the characteristic function of a
+whole table of multi-valued rows as one MDD "case" tree (see its
+docstring); BLIF-MV table encoding runs on it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
-from repro.bdd.manager import BDD, BddError
+from repro.bdd.manager import BDD, FALSE, TRUE, BddError
 
 Value = Union[str, int]
+
+
+@dataclass(frozen=True)
+class SameAs:
+    """Relation row entry: this column equals column ``column`` of the row."""
+
+    column: int
+
+
+# A relation row entry: ``None`` admits every value, a set admits those
+# codes, a :class:`SameAs` ties the column to another column.
+RowEntry = Union[None, AbstractSet[int], SameAs]
 
 
 def bits_for(n: int) -> int:
@@ -206,6 +225,176 @@ class MddManager:
     def domain_constraint(self, mv_vars: Iterable[MvVar]) -> int:
         """Conjunction of domain constraints of ``mv_vars``."""
         return self.bdd.conj(v.domain_constraint for v in mv_vars)
+
+    def relation(
+        self, columns: Sequence[MvVar], rows: Iterable[Sequence[RowEntry]]
+    ) -> int:
+        """Characteristic function of a table of multi-valued rows.
+
+        Row ``r`` admits an assignment when every column's entry does:
+        ``None`` admits any value, a set of codes admits those codes,
+        and ``SameAs(j)`` admits the value of column ``j``.  The result
+        is the disjunction of the rows conjoined with the domain
+        constraint of every column variable.  A variable may label
+        several columns; its entries in one row intersect.
+
+        The function is built top-down as one case tree instead of as a
+        disjunction of per-row cubes.  The distinct variables are split
+        in order of their topmost bit: for each code ``v`` of the current
+        variable, the rows admitting ``v`` continue to the next variable.
+        Splitting either end of a ``SameAs`` link pins the other end to
+        ``{v}``.  The children are then folded into the variable's bits,
+        with unused codes going to FALSE.  A residual row that admits
+        everything yields the remaining domain constraints, and the
+        result of each ``(variable, residual rows)`` pair is memoised,
+        so each distinct sub-table is built once.  BDDs are canonical,
+        so the handle equals the one an OR of row cubes would give.
+        """
+        bdd = self.bdd
+        level = bdd.level
+        distinct = {var.name: var for var in columns}
+        ranked = sorted(distinct.values(), key=lambda v: min(level(b) for b in v.bits))
+        rank = {v.name: i for i, v in enumerate(ranked)}
+        col_slot = [rank[v.name] for v in columns]
+        n = len(ranked)
+        domains = [frozenset(range(v.nvalues)) for v in ranked]
+
+        start = set()
+        for row in rows:
+            sets: List[Optional[FrozenSet[int]]] = [None] * n
+            links = set()
+            for col, entry in enumerate(row):
+                if entry is None:
+                    continue
+                s = col_slot[col]
+                if isinstance(entry, SameAs):
+                    t = col_slot[entry.column]
+                    if ranked[s].values != ranked[t].values:
+                        raise BddError(
+                            f"domain mismatch between {ranked[s].name!r} "
+                            f"and {ranked[t].name!r}"
+                        )
+                    if s != t:
+                        links.add((s, t) if s < t else (t, s))
+                    continue
+                codes = frozenset(entry)
+                sets[s] = codes if sets[s] is None else sets[s] & codes
+            if any(codes is not None and not codes for codes in sets):
+                continue
+            # A full-domain entry says no more than the domain constraint.
+            for s, codes in enumerate(sets):
+                if codes is not None and codes >= domains[s]:
+                    sets[s] = None
+            start.add((tuple(sets), frozenset(links)))
+
+        # suffix[c]: conjunction of the domain constraints of slots c..n-1.
+        suffix = [TRUE] * (n + 1)
+        for c in reversed(range(n)):
+            suffix[c] = bdd.and_(ranked[c].domain_constraint, suffix[c + 1])
+        # pins[c][v]: the entry a link partner of slot c gets when slot c
+        # is split on code v (None when that single code is the domain).
+        pins = [
+            [None if v.nvalues == 1 else frozenset((code,)) for code in range(v.nvalues)]
+            for v in ranked
+        ]
+        # Bits of each slot from the bottom level up, as (weight, var, level).
+        folds = [
+            sorted(
+                ((1 << i, bit, level(bit)) for i, bit in enumerate(v.bits)),
+                key=lambda fold: -fold[2],
+            )
+            for v in ranked
+        ]
+        memo: Dict[Tuple[int, FrozenSet], int] = {}
+
+        def build(c: int, rows: FrozenSet) -> int:
+            # ``rows`` is non-empty and no row admits everything, so some
+            # row still constrains a slot at or below ``c`` (hence c < n).
+            key = (c, rows)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            nv = ranked[c].nvalues
+            every = range(nv)
+            buckets: List[set] = [set() for _ in every]
+            free = [False] * nv
+            for sets, links in rows:
+                head = sets[0]
+                rest = sets[1:]
+                codes = every if head is None else head
+                mine = [b for a, b in links if a == c] if links else ()
+                if not mine:
+                    if links or any(rest):
+                        row = (rest, links)
+                        for v in codes:
+                            buckets[v].add(row)
+                    else:
+                        for v in codes:
+                            free[v] = True
+                    continue
+                others = frozenset(l for l in links if l[0] != c)
+                for v in codes:
+                    pin = pins[c][v]
+                    narrowed = list(rest)
+                    for b in mine:
+                        i = b - c - 1
+                        cur = narrowed[i]
+                        if cur is not None:
+                            if v not in cur:
+                                break
+                            if len(cur) == 1:
+                                continue
+                        narrowed[i] = pin
+                    else:
+                        if others or any(narrowed):
+                            buckets[v].add((tuple(narrowed), others))
+                        else:
+                            free[v] = True
+            nodes = []
+            for v in every:
+                if free[v]:
+                    nodes.append(suffix[c + 1])
+                elif not buckets[v]:
+                    nodes.append(FALSE)
+                else:
+                    nodes.append(build(c + 1, frozenset(buckets[v])))
+            result = self._case(folds[c], nodes)
+            memo[key] = result
+            return result
+
+        if not start:
+            return FALSE
+        if any(not links and not any(sets) for sets, links in start):
+            return suffix[0]
+        return build(0, frozenset(start))
+
+    def _case(self, folds: Sequence[Tuple[int, int, int]], nodes: List[int]) -> int:
+        """Fold per-code children into one node over a variable's bits.
+
+        ``nodes[code]`` is the child for each used code; unused codes go
+        to FALSE.  ``folds`` lists the variable's bits from the bottom
+        level up.  A bit above both children becomes a plain node; a bit
+        that is not (only possible when another variable's bits are
+        interleaved with this one's) goes through ``ite``.
+        """
+        bdd = self.bdd
+        size = 1 << len(folds)
+        nodes = nodes + [FALSE] * (size - len(nodes))
+        done = 0
+        for weight, bit, lvl in folds:
+            for code in range(size):
+                if code & (weight | done):
+                    continue
+                lo = nodes[code]
+                hi = nodes[code | weight]
+                if lo == hi:
+                    continue
+                if lvl < bdd._node_level(lo) and lvl < bdd._node_level(hi):
+                    nodes[code] = bdd._mk(bit, lo, hi)
+                else:
+                    nodes[code] = bdd.ite(bdd.var(bit), hi, lo)
+            done |= weight
+        return nodes[0]
 
     def assignment_cube(self, assignment: Dict[str, Value]) -> int:
         """BDD cube for a partial assignment of mv variables to values."""

@@ -35,6 +35,7 @@ Dynamic reordering comes in two forms:
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bdd.manager import BDD
@@ -80,40 +81,46 @@ def affinity_order(
     Items never seen in any group keep their relative input order at the
     end.
     """
-    affinity: Dict[Tuple[str, str], int] = {}
-    weight: Dict[str, int] = {name: 0 for name in all_items}
-    items_set = set(all_items)
+    # First-occurrence position (the final tie-break) and multiplicity:
+    # a duplicated item is placed once per occurrence.
+    position: Dict[str, int] = {}
+    count: Dict[str, int] = {}
+    for i, name in enumerate(all_items):
+        position.setdefault(name, i)
+        count[name] = count.get(name, 0) + 1
+    items_set = set(position)
+    weight: Dict[str, int] = {name: 0 for name in position}
+    neighbours: Dict[str, Dict[str, int]] = {name: {} for name in position}
     for group in groups:
-        members = sorted(group & items_set)
-        for i, a in enumerate(members):
+        members = group & items_set
+        for a in members:
             weight[a] += len(members) - 1
-            for b in members[i + 1:]:
-                key = (a, b)
-                affinity[key] = affinity.get(key, 0) + 1
+            row = neighbours[a]
+            for b in members:
+                if b != a:
+                    row[b] = row.get(b, 0) + 1
 
-    def pair_affinity(a: str, b: str) -> int:
-        if a > b:
-            a, b = b, a
-        return affinity.get((a, b), 0)
-
-    remaining = [name for name in all_items]
+    # Greedy arrangement: repeatedly place the unplaced item with the
+    # largest (attraction to the placed prefix, total weight, -position).
+    # Attraction only grows, so a lazy max-heap works: every increase
+    # pushes a fresh entry and outdated entries are skipped on pop.
+    attraction: Dict[str, int] = {name: 0 for name in position}
+    heap = [(0, -weight[n], position[n], n) for n in position]
+    heapq.heapify(heap)
     placed: List[str] = []
-    placed_set: Set[str] = set()
-    attraction: Dict[str, int] = {name: 0 for name in all_items}
-    while remaining:
-        if not placed:
-            # Seed with the globally most-connected item.
-            best = max(remaining, key=lambda n: (weight[n], -all_items.index(n)))
-        else:
-            best = max(
-                remaining,
-                key=lambda n: (attraction[n], weight[n], -all_items.index(n)),
-            )
+    while heap:
+        neg_attraction, neg_weight, pos, best = heapq.heappop(heap)
+        if not count[best] or -neg_attraction != attraction[best]:
+            continue
         placed.append(best)
-        placed_set.add(best)
-        remaining.remove(best)
-        for n in remaining:
-            attraction[n] += pair_affinity(best, n)
+        count[best] -= 1
+        if count[best]:
+            heapq.heappush(heap, (neg_attraction, neg_weight, pos, best))
+        for n, shared in neighbours[best].items():
+            if count[n]:
+                # Every remaining occurrence of n is attracted to best.
+                attraction[n] += shared * count[n]
+                heapq.heappush(heap, (-attraction[n], -weight[n], position[n], n))
     return placed
 
 

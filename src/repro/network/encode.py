@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bdd.manager import BDD
-from repro.bdd.mdd import MddManager, MvVar
+from repro.bdd.mdd import MddManager, MvVar, RowEntry, SameAs
 from repro.bdd.ordering import affinity_order, validate_permutation
 from repro.blifmv.ast import Any_, BlifMvError, Eq, Model, Table, ValueSet
 from repro.blifmv.hierarchy import Elaboration, InstanceInfo
@@ -106,10 +106,10 @@ def encode(
     candidates; see :mod:`repro.ordering_portfolio`) — latch outputs in
     the order still get their present/next bits interleaved.  ``auto_gc``,
     ``cache_limit`` and ``auto_reorder`` configure the kernel's
-    self-management knobs (see :class:`repro.bdd.manager.BDD`).  Table-row
-    conjunct building and shared-shape instantiation issue their work as
-    request lists, which the kernel runs on the frontier-batched apply
-    engine.
+    self-management knobs (see :class:`repro.bdd.manager.BDD`).  Each
+    table is built as one column-split case tree
+    (:func:`encode_table`); shared-shape instantiation issues its
+    renames as request lists for the frontier-batched apply engine.
 
     ``elaboration`` (from :func:`repro.blifmv.elaborate`) switches on
     shared-shape encoding: table conjuncts are built once per distinct
@@ -453,91 +453,57 @@ def _synchrony_conditions(
     return conditions
 
 
-def _reduce_each(bdd: BDD, op: str, lists: List[List[int]]) -> List[int]:
-    """Tree-reduce every operand list to one handle, batching across lists.
-
-    Each round pairs adjacent operands within every list and issues all
-    pairs as one :meth:`BDD.apply_many` frontier, so N rows reduce in
-    ``ceil(log2(width))`` batched calls instead of ``N * width`` scalar
-    ones.  Empty lists reduce to the operator identity.
-    """
-    identity = bdd.true if op == "and" else bdd.false
-    pending = [list(l) for l in lists]
-    while True:
-        pairs: List[Tuple[int, int]] = []
-        slots: List[Tuple[int, int]] = []
-        nxt: List[List[int]] = []
-        for i, l in enumerate(pending):
-            nl: List[int] = []
-            j = 0
-            while j + 1 < len(l):
-                slots.append((i, len(nl)))
-                pairs.append((l[j], l[j + 1]))
-                nl.append(-1)
-                j += 2
-            if j < len(l):
-                nl.append(l[j])
-            nxt.append(nl)
-        if not pairs:
-            return [l[0] if l else identity for l in pending]
-        for (i, p), r in zip(slots, bdd.apply_many(op, pairs)):
-            nxt[i][p] = r
-        pending = nxt
-
-
 def encode_table(
     mdd: MddManager, variables: Dict[str, MvVar], model: Model, table: Table
 ) -> int:
     """Characteristic function of one (possibly non-deterministic) table.
 
-    Row conjuncts build as balanced tree reductions batched *across*
-    rows (see :func:`_reduce_each`): all rows' input literals AND
-    together in shared frontiers, then all row relations OR together.
-    The reduction shape is the same whether the kernel executes a
-    frontier batched or scalar, so the kernel's routing never changes
-    the handles.
+    Rows translate to code sets (``-`` admits everything, a value or
+    value set admits its codes, ``=x`` links the column to input ``x``)
+    and :meth:`MddManager.relation` builds them as one case tree over
+    the columns, domain constraints included.  A ``.default`` row
+    applies where no row matches the inputs:
+    ``rows | (~cover & default)``, where ``cover`` is the relation of
+    the rows' input columns alone.
     """
     bdd = mdd.bdd
-    in_lists = [
-        [_entry_bdd(variables, name, entry, table)
-         for entry, name in zip(row.inputs, table.inputs)]
+    columns = [variables[name] for name in table.variables]
+    inputs = {name: i for i, name in enumerate(table.inputs)}
+    entries: Dict[Tuple[int, object], RowEntry] = {}
+
+    def translate(col: int, entry) -> RowEntry:
+        key = (col, entry)
+        if key not in entries:
+            entries[key] = _row_entry(columns[col], entry, inputs, table)
+        return entries[key]
+
+    rows = [
+        tuple(translate(col, e) for col, e in enumerate((*row.inputs, *row.outputs)))
         for row in table.rows
     ]
-    out_lists = [
-        [_entry_bdd(variables, name, entry, table)
-         for entry, name in zip(row.outputs, table.outputs)]
-        for row in table.rows
-    ]
-    if table.rows:
-        in_parts = _reduce_each(bdd, "and", in_lists)
-        out_parts = _reduce_each(bdd, "and", out_lists)
-        row_nodes = bdd.apply_many("and", list(zip(in_parts, out_parts)))
-        rows, input_cover = _reduce_each(bdd, "or", [row_nodes, in_parts])
-    else:
-        rows = bdd.false
-        input_cover = bdd.false
+    relation = mdd.relation(columns, rows)
     if table.default is not None:
-        default_part = bdd.true
-        for entry, name in zip(table.default, table.outputs):
-            default_part = bdd.and_(default_part, _entry_bdd(variables, name, entry, table))
-        rows = bdd.or_(rows, bdd.and_(bdd.not_(input_cover), default_part))
-    # Valid encodings only, on every column.
-    for name in table.variables:
-        rows = bdd.and_(rows, variables[name].domain_constraint)
-    return rows
+        width = len(table.inputs)
+        cover = mdd.relation(columns[:width], [row[:width] for row in rows])
+        default_row = (None,) * width + tuple(
+            translate(width + i, e) for i, e in enumerate(table.default)
+        )
+        default = mdd.relation(columns, [default_row])
+        relation = bdd.or_(relation, bdd.and_(bdd.not_(cover), default))
+    return relation
 
 
-def _entry_bdd(
-    variables: Dict[str, MvVar], name: str, entry, table: Table
-) -> int:
-    var = variables[name]
+def _row_entry(var: MvVar, entry, inputs: Dict[str, int], table: Table) -> RowEntry:
     if isinstance(entry, Any_):
-        return var.bdd.true
+        return None
     if isinstance(entry, Eq):
-        return var.eq_var(variables[entry.name])
-    if isinstance(entry, ValueSet):
-        return var.literal(entry.values)
-    return var.literal(entry)
+        if entry.name not in inputs:
+            raise BlifMvError(
+                f"table for {table.outputs}: '={entry.name}' does not name an input"
+            )
+        return SameAs(inputs[entry.name])
+    values = entry.values if isinstance(entry, ValueSet) else (entry,)
+    return frozenset(var.code_of(v) for v in values)
 
 
 def is_deterministic_table(

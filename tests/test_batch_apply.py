@@ -381,16 +381,13 @@ class TestConsumers:
         from repro.models import get_spec
         from repro.network.encode import encode
 
-        # traffic and railroad only issue narrow batches; gcd's table
-        # rows are wide enough for the vectorized wave.
+        # Table encoding builds case trees node by node; whatever the
+        # kernel's routing, the conjuncts come out the same.
         for name in ("traffic", "railroad", "gcd"):
             flat = get_spec(name).flat()
             on = encode(flat)
             with scalar_only():
                 off = encode(flat)
-            assert on.bdd.batch_calls > 0
-            wide = on.bdd.batch_max_width >= SCALAR_FRONTIER_CUTOFF
-            assert wide == (name == "gcd")
             assert off.bdd.batch_calls == 0
             assert len(on.bdd) == len(off.bdd)
             assert len(on.conjuncts) == len(off.conjuncts)
@@ -398,6 +395,26 @@ class TestConsumers:
                 assert on.bdd.size(ca.node) == off.bdd.size(cb.node)
                 assert ca.support == cb.support
             assert on.bdd.size(on.init) == off.bdd.size(off.init)
+
+    def test_shared_shape_instantiation_batches(self, scalar_only):
+        from repro.models import get_spec
+        from repro.network.encode import encode
+
+        # Every substituted instance replays the representative's
+        # conjuncts through one rename_many request list.
+        elaboration = get_spec("philos_hier", n=4).elaborate()
+        on = encode(elaboration.flat, elaboration=elaboration)
+        with scalar_only():
+            off = encode(elaboration.flat, elaboration=elaboration)
+        assert on.instances_substituted == 3
+        assert on.bdd.batch_calls == on.instances_substituted
+        assert on.bdd.batch_requests > on.bdd.batch_calls
+        assert off.bdd.batch_calls == 0
+        assert off.bdd.batch_scalar_requests >= on.bdd.batch_requests
+        assert len(on.bdd) == len(off.bdd)
+        for ca, cb in zip(on.conjuncts, off.conjuncts):
+            assert on.bdd.size(ca.node) == off.bdd.size(cb.node)
+            assert ca.support == cb.support
 
     def test_reachability_verdict_parity(self, scalar_only):
         from repro.models import get_spec
@@ -412,7 +429,6 @@ class TestConsumers:
                 [fsm.count_states(r) for r in reach.rings],
             )
 
-        # vending's encode runs wide frontiers; traffic's stays narrow.
         for name in ("traffic", "vending"):
             flat = get_spec(name).flat()
             batched = run(flat)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bdd import BDD, BddError, MddManager
-from repro.bdd.mdd import bits_for
+from repro.bdd.mdd import SameAs, bits_for
 
 
 class TestBitsFor:
@@ -145,3 +145,45 @@ class TestMddManager:
         constraint = m.domain_constraint([a, b])
         bits = list(a.bits) + list(b.bits)
         assert m.bdd.sat_count(constraint, bits) == 9
+
+
+class TestRelation:
+    def _vars(self):
+        m = MddManager()
+        a = m.declare("a", ["0", "1", "2"])
+        b = m.declare("b", ["0", "1", "2"])
+        return m, a, b
+
+    def test_no_rows_is_false(self):
+        m, a, b = self._vars()
+        assert m.relation([a, b], []) == m.bdd.false
+
+    def test_unconstrained_row_is_the_domain(self):
+        m, a, b = self._vars()
+        assert m.relation([a, b], [(None, None)]) == m.domain_constraint([a, b])
+
+    def test_rows_are_cubes_or_ed(self):
+        m, a, b = self._vars()
+        rows = [({0}, {1, 2}), (None, {0})]
+        expected = m.bdd.or_(
+            m.bdd.and_(a.literal("0"), b.literal(["1", "2"])), b.literal("0")
+        )
+        expected = m.bdd.and_(expected, m.domain_constraint([a, b]))
+        assert m.relation([a, b], rows) == expected
+
+    def test_same_as_is_equality(self):
+        m, a, b = self._vars()
+        # Link from the lower variable up and from the upper one down.
+        assert m.relation([a, b], [(None, SameAs(0))]) == a.eq_var(b)
+        assert m.relation([b, a], [(SameAs(1), None)]) == a.eq_var(b)
+
+    def test_repeated_column_intersects(self):
+        m, a, b = self._vars()
+        got = m.relation([a, a, b], [({0, 1}, {1, 2}, None)])
+        assert got == m.bdd.and_(a.literal("1"), b.domain_constraint)
+
+    def test_same_as_domain_mismatch(self):
+        m, a, _ = self._vars()
+        c = m.declare("c", ["x", "y"])
+        with pytest.raises(BddError):
+            m.relation([a, c], [(None, SameAs(0))])

@@ -1,6 +1,7 @@
 """Tests for variable-ordering heuristics and rebuild-based reordering."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDD
 from repro.bdd.ordering import (
@@ -36,6 +37,57 @@ class TestAffinityOrder:
     def test_items_not_in_groups_ignored_in_affinity(self):
         order = affinity_order([{"a", "b", "zz"}], ["a", "b"])
         assert sorted(order) == ["a", "b"]
+
+
+def quadratic_affinity_order(groups, all_items):
+    """The original greedy arrangement: a full rescan per placement."""
+    affinity = {}
+    weight = {name: 0 for name in all_items}
+    items_set = set(all_items)
+    for group in groups:
+        members = sorted(group & items_set)
+        for i, a in enumerate(members):
+            weight[a] += len(members) - 1
+            for b in members[i + 1:]:
+                affinity[(a, b)] = affinity.get((a, b), 0) + 1
+
+    def pair_affinity(a, b):
+        if a > b:
+            a, b = b, a
+        return affinity.get((a, b), 0)
+
+    remaining = list(all_items)
+    placed = []
+    attraction = {name: 0 for name in all_items}
+    while remaining:
+        if not placed:
+            best = max(remaining, key=lambda n: (weight[n], -all_items.index(n)))
+        else:
+            best = max(
+                remaining,
+                key=lambda n: (attraction[n], weight[n], -all_items.index(n)),
+            )
+        placed.append(best)
+        remaining.remove(best)
+        for n in remaining:
+            attraction[n] += pair_affinity(best, n)
+    return placed
+
+
+NAMES = [f"v{i}" for i in range(12)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    groups=st.lists(
+        st.sets(st.sampled_from(NAMES + ["ghost"]), max_size=6), max_size=10
+    ),
+    items=st.lists(st.sampled_from(NAMES), max_size=16),
+)
+def test_affinity_order_matches_quadratic_reference(groups, items):
+    # Duplicated items, items in no group and group members outside the
+    # item list are all drawn; the arrangement must not move.
+    assert affinity_order(groups, items) == quadratic_affinity_order(groups, items)
 
 
 class TestInteractingFsmOrder:
