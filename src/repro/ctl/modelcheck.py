@@ -79,7 +79,7 @@ class ModelChecker:
     ):
         self.fsm = fsm
         self.bdd = fsm.bdd
-        self.stats: EngineStats = getattr(fsm, "stats", None) or EngineStats(fsm.bdd)
+        self.stats: EngineStats = fsm.stats
         self.graph = FairGraph(fsm)
         self.fairness = fairness if fairness is not None else FairnessSpec()
         self.normalized: NormalizedFairness = self.fairness.normalize(

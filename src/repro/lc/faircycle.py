@@ -17,6 +17,8 @@ engine works in two phases:
    closure from a seed state) with the classic Streett edge-removal
    recursion: an SCC containing ``E``-edges but no ``F``-edge cannot use
    those ``E``-edges, so they are deleted and the sub-SCCs re-examined.
+   The same trimmed Xie-Beerel enumerator also yields every fair state
+   for fair CTL (:func:`all_fair_states`).
 
 Edge sets are BDDs over (present, next) state bits and are always
 interpreted intersected with the transition relation.
@@ -25,7 +27,7 @@ interpreted intersected with the transition relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.automata.fairness import NormalizedFairness
 from repro.bdd.manager import BDD
@@ -48,6 +50,7 @@ class FairGraph:
         self._x_to_y = fsm.x_to_y()
         self._y_to_x = fsm.y_to_x()
         self.space: int = fsm.state_domain()
+        self.stats = fsm.stats
         # The graph's fixed nodes must survive any auto-GC safe point.
         self.bdd.register_root("graph.trans", self.trans)
         self.bdd.register_root("graph.x_cube", self._x_cube)
@@ -272,6 +275,7 @@ def _trim(graph: FairGraph, region: int, trans: int) -> int:
     a full seed-and-closure round — disappear in a cheap fixpoint."""
     bdd = graph.bdd
     while True:
+        graph.stats.bump("scc_trim_rounds")
         kept = bdd.and_(region, graph.pre(region, trans))
         kept = bdd.and_(kept, graph.post(kept, trans))
         if kept == region:
@@ -285,32 +289,62 @@ def _enumerate_sccs(
     trans: int,
     fairness: NormalizedFairness,
     depth: int = 0,
-) -> Optional[FairScc]:
+    closure_space: Optional[int] = None,
+) -> Union[FairScc, int, None]:
     """Xie-Beerel symbolic SCC enumeration within ``region``.
 
     Divide and conquer: after carving out ``scc = fwd(seed) & bwd(seed)``
     the remainder splits into ``fwd \\ scc`` and ``region \\ fwd``, which
     contain no SCC spanning both — each part is trimmed and processed
     independently instead of re-sweeping the whole region per seed.
+
+    "first" mode (``closure_space`` None) returns the first fair SCC as a
+    :class:`FairScc`, or None.  "all" mode returns every state of
+    ``closure_space`` with a fair path inside it: each fair SCC found adds
+    its backward closure (under the full relation) to a running ``fair``
+    set, which is subtracted from every part before trimming.  A backward
+    closure is a union of whole SCCs, so the subtraction splits no
+    remaining SCC, and every state it drops already has a fair path —
+    the result is exact.  Downstream parts are popped first, so a fair
+    sink absorbs every upstream SCC that reaches it in one closure.
     """
     bdd = graph.bdd
+    stats = graph.stats
+    tracer = stats.tracer
+    collect = closure_space is not None
+    fair = bdd.false
     stack = [bdd.and_(region, graph.space)]
     while stack:
-        part = _trim(graph, stack.pop(), trans)
+        part = _trim(graph, bdd.diff(stack.pop(), fair), trans)
         if part == bdd.false:
             continue
         seed = graph.pick_state(part)
         if seed is None:
             continue
+        stats.bump("scc_seeds")
         fwd = graph.forward_within(part, seed, trans)
         bwd = graph.backward_within(part, seed, trans)
         scc = bdd.and_(fwd, bwd)
         found = _check_scc(graph, scc, trans, fairness, depth)
+        if tracer.enabled:
+            tracer.instant(
+                "lc.scc", cat="lc",
+                mode="all" if collect else "first",
+                depth=depth,
+                part_nodes=bdd.size(part),
+                scc_nodes=bdd.size(scc),
+                fair=found is not None,
+            )
         if found is not None:
-            return found
-        stack.append(bdd.diff(fwd, scc))
-        stack.append(bdd.diff(part, fwd))
-    return None
+            stats.bump("fair_sccs")
+            if not collect:
+                return found
+            fair = bdd.or_(
+                fair, graph.backward_within(closure_space, scc, graph.trans)
+            )
+        downstream, upstream = bdd.diff(fwd, scc), bdd.diff(part, fwd)
+        stack.extend((upstream, downstream) if collect else (downstream, upstream))
+    return fair if collect else None
 
 
 def find_fair_scc(
@@ -346,30 +380,15 @@ def all_fair_states(
     """All states of ``space`` from which a fair path inside ``space`` exists.
 
     For pure Büchi fairness this is ``E[space U hull]`` with the exact
-    Emerson-Lei hull.  With Streett pairs the hull may be strict, so fair
-    SCCs are enumerated exhaustively and the backward closure taken from
-    their union (exact, potentially slower — used by fair CTL only when
-    Streett constraints are present).
+    Emerson-Lei hull.  With Streett pairs the hull may be strict, so the
+    hull is decomposed by :func:`_enumerate_sccs` in "all" mode: the
+    backward closure of every fair SCC, each one pruned from the search
+    as soon as it is found.
     """
     bdd = graph.bdd
     t_eff, residual = effective_cycle_relation(graph, fairness)
     hull = fair_hull(graph, residual, space, trans=t_eff)
+    region = bdd.and_(space, graph.space)
     if not residual.streett:
-        region = bdd.and_(space, graph.space)
         return graph.backward_within(region, hull, graph.trans)
-    # Exact: union of all fair SCCs inside the hull.
-    region = hull
-    cores = bdd.false
-    while region != bdd.false:
-        seed = graph.pick_state(region)
-        if seed is None:
-            break
-        fwd = graph.forward_within(region, seed, t_eff)
-        bwd = graph.backward_within(region, seed, t_eff)
-        scc = bdd.and_(fwd, bwd)
-        if _check_scc(graph, scc, t_eff, residual) is not None:
-            cores = bdd.or_(cores, scc)
-        region = bdd.diff(region, scc)
-    return graph.backward_within(
-        bdd.and_(space, graph.space), cores, graph.trans
-    )
+    return _enumerate_sccs(graph, hull, t_eff, residual, closure_space=region)

@@ -7,9 +7,9 @@ timeline:
   covering the pipeline phases: encode, transition-relation build,
   reachability, model checking, language containment, fuzz trials;
 * **instants** — point events carrying structured arguments: one BDD
-  garbage-collection sweep, one computed-cache eviction, one quantify
-  schedule step, one BFS onion ring, one fixpoint iteration, one worker
-  task state change.
+  garbage-collection sweep, one quantify schedule step, one BFS onion
+  ring, one fixpoint iteration, one SCC seed, one worker task state
+  change.
 
 Events are plain dictionaries (picklable, JSON-serializable) with the
 schema::

@@ -4,6 +4,8 @@ Graphs are encoded as tiny BLIF-MV machines so the engine is exercised
 through exactly the same interface the checkers use.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.automata.fairness import (
@@ -14,14 +16,18 @@ from repro.automata.fairness import (
     StreettPair,
 )
 from repro.blifmv import flatten, parse
+from repro.ctl import ModelChecker, parse_ctl
 from repro.lc.faircycle import (
     FairGraph,
+    _check_scc,
     all_fair_states,
     effective_cycle_relation,
     fair_hull,
     find_fair_scc,
 )
+from repro.models import mdlc
 from repro.network import SymbolicFsm
+from repro.trace import Tracer
 
 
 def machine(rows, nvalues, reset="0"):
@@ -219,3 +225,118 @@ class TestFairStates:
         norm = spec.normalize(fsm.bdd, fsm.bdd.true)
         fair = all_fair_states(graph, norm, fsm.bdd.true)
         assert states_of(fsm, fair) == {"0", "1", "2"}
+
+    def test_all_mode_emits_counters_and_trace(self):
+        fsm = machine(["0 (1,3)", "1 2", "2 1", "3 3"], 4)
+        fsm.stats.tracer = Tracer()
+        graph = FairGraph(fsm)
+        e33 = fsm.bdd.and_(fsm.var("s").literal("3"), fsm.var("s#n").literal("3"))
+        e12 = fsm.bdd.and_(fsm.var("s").literal("1"), fsm.var("s#n").literal("2"))
+        norm = FairnessSpec([StreettPair(e=e33, f=e12)]).normalize(
+            fsm.bdd, fsm.bdd.true)
+        all_fair_states(graph, norm, fsm.bdd.true)
+        seeds = fsm.stats.counter("scc_seeds")
+        assert seeds >= 1
+        assert fsm.stats.counter("fair_sccs") == 1
+        assert fsm.stats.counter("scc_trim_rounds") >= seeds
+        events = [e for e in fsm.stats.tracer.events if e["name"] == "lc.scc"]
+        assert len(events) == seeds
+        assert all(e["args"]["mode"] == "all" for e in events)
+        assert [e["args"]["fair"] for e in events].count(True) == 1
+        assert "scc_seeds: " in fsm.stats.format()
+        assert find_fair_scc(graph, norm, fsm.bdd.true) is not None
+        events = [e for e in fsm.stats.tracer.events if e["name"] == "lc.scc"]
+        assert events[seeds:] and all(
+            e["args"]["mode"] == "first" for e in events[seeds:])
+
+
+# -- 2mdlc: the Table-1 design whose fair CTL runs under Streett fairness --
+
+
+def reference_all_fair_states(graph, fairness, space):
+    """The fair-state loop used before the Xie-Beerel enumerator gained
+    its "all" mode: one seed at a time over the whole hull, no trim, no
+    split, no pruning by closure; backward closure of the fair cores."""
+    bdd = graph.bdd
+    t_eff, residual = effective_cycle_relation(graph, fairness)
+    hull = fair_hull(graph, residual, space, trans=t_eff)
+    region = bdd.and_(space, graph.space)
+    if not residual.streett:
+        return graph.backward_within(region, hull, graph.trans)
+    rest = hull
+    cores = bdd.false
+    while rest != bdd.false:
+        seed = graph.pick_state(rest)
+        if seed is None:
+            break
+        fwd = graph.forward_within(rest, seed, t_eff)
+        bwd = graph.backward_within(rest, seed, t_eff)
+        scc = bdd.and_(fwd, bwd)
+        if _check_scc(graph, scc, t_eff, residual) is not None:
+            cores = bdd.or_(cores, scc)
+        rest = bdd.diff(rest, scc)
+    return graph.backward_within(region, cores, graph.trans)
+
+
+@pytest.fixture(scope="module")
+def mdlc1():
+    """2mdlc at width 1 with a memoized reference fair-state loop."""
+    spec = mdlc.spec(width=1)
+    fsm = SymbolicFsm(spec.flat())
+    fsm.build_transition()
+    reached = fsm.reachable().reached
+    memo = {}
+
+    def reference(graph, fairness, space):
+        if space not in memo:
+            memo[space] = reference_all_fair_states(graph, fairness, space)
+        return memo[space]
+
+    def checker():
+        return ModelChecker(
+            fsm, fairness=spec.pif.bind_fairness(fsm), reached=reached)
+
+    return SimpleNamespace(fsm=fsm, reference=reference, checker=checker)
+
+
+class TestMdlcFairStates:
+    """Fair states of 2mdlc under its own Streett and negative fairness."""
+
+    @pytest.mark.parametrize("region", [None, "fvalid=1 | sstate=s_send", "sbit=0"])
+    def test_handles_match_reference_loop(self, mdlc1, region):
+        mc = mdlc1.checker()
+        space = mc.space if region is None else mc.eval(parse_ctl(region))
+        fair = all_fair_states(mc.graph, mc.normalized, space)
+        assert fair == mdlc1.reference(mc.graph, mc.normalized, space)
+        if region != "sbit=0":
+            assert fair != mdlc1.fsm.bdd.false
+
+    def test_fair_ctl_needs_few_seeds(self):
+        # 140 reachable states, but the old loop seeded 3,921 SCCs over the
+        # whole state domain; closure pruning needs a handful.
+        spec = mdlc.spec(width=1)
+        fsm = SymbolicFsm(spec.flat())
+        fsm.build_transition()
+        mc = ModelChecker(fsm, fairness=spec.pif.bind_fairness(fsm),
+                          reached=fsm.reachable().reached)
+        (name, formula), = spec.pif.ctl_props
+        assert mc.check(formula).holds
+        assert 1 <= fsm.stats.counter("scc_seeds") <= 5
+        assert fsm.stats.counter("fair_sccs") >= 1
+
+    @pytest.mark.parametrize("text", [
+        "AG fvalid=0",
+        "EF EG sstate=s_wait",
+        "AG EF EG sbit=0",
+    ])
+    def test_failing_fair_ctl_matches_reference(self, mdlc1, monkeypatch, text):
+        formula = parse_ctl(text)
+        mc = mdlc1.checker()
+        result = mc.check(formula)
+        assert result.holds is False
+        assert not result.used_fast_path
+        monkeypatch.setattr(
+            "repro.ctl.modelcheck.all_fair_states", mdlc1.reference)
+        ref = mdlc1.checker()
+        assert ref.eval(formula) == result.satisfying
+        assert ref.fair_states() == mc.fair_states()

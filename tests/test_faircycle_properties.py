@@ -10,14 +10,16 @@ are checked two ways:
   the Streett edge-removal recursion).
 
 The verdicts must agree, and any witness SCC the symbolic engine returns
-must itself satisfy all constraints.
+must itself satisfy all constraints.  The fair-state sets of
+:func:`repro.lc.faircycle.all_fair_states` are compared on every state
+with :func:`repro.oracle.graphs.fair_path_states`.
 """
 
 import itertools
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.automata.fairness import (
     BuchiState,
@@ -26,12 +28,15 @@ from repro.automata.fairness import (
     StreettPair,
 )
 from repro.blifmv import flatten, parse
-from repro.lc.faircycle import FairGraph, find_fair_scc
+from repro.lc.faircycle import FairGraph, all_fair_states, find_fair_scc
 from repro.debug.trace import thread_fair_cycle
 from repro.network import SymbolicFsm
+from repro.oracle.graphs import ExplicitFairness, fair_path_states
 
 N_STATES = 5
 VALUES = [str(i) for i in range(N_STATES)]
+#: Every value of the 8-valued latch: states 5..7 have no successor.
+DOMAIN = [str(i) for i in range(8)]
 
 
 def build_machine(edges):
@@ -189,3 +194,63 @@ def test_symbolic_agrees_with_explicit(edges, buchi_sets, neg_sets, streett):
                     hit = True
                     break
             assert hit, f"cycle misses required edge set {label}"
+
+
+def _literal(fsm, values):
+    var = fsm.var("s")
+    return var.literal(sorted(values)) if values else fsm.bdd.false
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    edges_strategy(),
+    st.lists(subset_strategy(), max_size=2),
+    st.lists(subset_strategy(), max_size=2),
+    st.lists(st.tuples(subset_strategy(), subset_strategy()), max_size=2),
+    st.one_of(st.none(), st.sets(st.sampled_from(DOMAIN), min_size=1)),
+)
+# The {1,2,3} SCC takes the E-edge 3->1 with no F-edge, so only the
+# Streett edge-removal recursion finds its fair sub-cycle 2->2.
+@example(
+    [("0", "1"), ("1", "2"), ("2", "3"), ("3", "1"), ("2", "2"),
+     ("0", "4"), ("4", "4")],
+    [], [], [({"3"}, {"4"})], None,
+)
+@example(
+    [("0", "1"), ("1", "2"), ("2", "3"), ("3", "1"), ("2", "2"),
+     ("0", "4"), ("4", "4")],
+    [], [], [({"3"}, {"4"})], {"0", "1", "2", "3"},
+)
+def test_all_fair_states_agrees_with_oracle(edges, buchi_sets, neg_sets,
+                                            streett, region):
+    """``all_fair_states`` equals the explicit fair-path closure on every
+    state of the domain, reachable or not, for the whole domain and for
+    ``EG``-style sub-regions."""
+    fsm = build_machine(edges)
+    fair_graph = FairGraph(fsm)
+    constraints = []
+    explicit_buchi = []
+    explicit_streett = []
+    for b in buchi_sets:
+        constraints.append(BuchiState(_literal(fsm, b)))
+        explicit_buchi.append(ExplicitFairness.state_buchi(b.__contains__))
+    for s in neg_sets:
+        constraints.append(NegativeStateSet(_literal(fsm, s)))
+        explicit_buchi.append(ExplicitFairness.negative_state(s.__contains__))
+    for e, f in streett:
+        constraints.append(StreettPair(e=_literal(fsm, e), f=_literal(fsm, f)))
+        explicit_streett.append((
+            ExplicitFairness.state_buchi(e.__contains__),
+            ExplicitFairness.state_buchi(f.__contains__),
+        ))
+    spec = FairnessSpec(constraints).normalize(fsm.bdd, fsm.bdd.true)
+    region = set(DOMAIN) if region is None else region
+    fair = all_fair_states(fair_graph, spec, _literal(fsm, region))
+
+    expected = fair_path_states(
+        region, set(edges), ExplicitFairness(explicit_buchi, explicit_streett))
+    got = {s["s"] for s in fsm.states_iter(fair)}
+    assert got == expected, (
+        f"edges={edges} buchi={buchi_sets} neg={neg_sets} "
+        f"streett={streett} region={sorted(region)}"
+    )

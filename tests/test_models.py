@@ -139,6 +139,19 @@ class TestMdlc:
             system_fairness=FairnessSpec())
         assert not result.holds  # lossy channels may drop everything
 
+    def test_data_integrity_holds_at_paper_width(self):
+        # Fair CTL under the channel Streett fairness at the default
+        # width 5 (the Table-1 configuration).
+        spec = mdlc.spec()
+        assert spec.params == {"width": 5}
+        fsm = SymbolicFsm(spec.flat())
+        fsm.build_transition()
+        checker = ModelChecker(fsm, fairness=spec.pif.bind_fairness(fsm),
+                               reached=fsm.reachable().reached)
+        (name, formula), = spec.pif.ctl_props
+        assert name == "data_integrity"
+        assert checker.check(formula).holds
+
 
 class TestDcnew:
     def test_counter_drives_state_count(self):
